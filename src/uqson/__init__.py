@@ -7,11 +7,8 @@ from .pbw import (
     MINUS,
     PLUS,
     AlgebraElement,
-    active_kernel,
-    available_kernels,
     bracket_generator,
     qcommutator,
-    use_kernel,
     verify_commutation_relations,
     verify_defining_relations,
 )
@@ -28,8 +25,6 @@ __all__ = [
     "RootOfUnity",
     "Tableau",
     "__version__",
-    "active_kernel",
-    "available_kernels",
     "bracket_generator",
     "build_representation",
     "coeffring",
@@ -40,7 +35,6 @@ __all__ = [
     "qnumber",
     "random_generic_params",
     "reps",
-    "use_kernel",
     "verify_commutation_relations",
     "verify_defining_relations",
 ]

@@ -1,6 +1,5 @@
 """PBW normal-form arithmetic for the deformed orthogonal enveloping algebra."""
 
-from ._kernel import active_kernel, available_kernels, use_kernel
 from ._rules import MINUS, PLUS, VARIANTS, MAX_RANK, check_rank, classify_pair, gen_pairs
 from .algebra import AlgebraElement, bracket_generator, qcommutator
 from .classical import classical_generator, verify_classical_limit
@@ -20,10 +19,8 @@ __all__ = [
     "MINUS",
     "PLUS",
     "VARIANTS",
-    "active_kernel",
     "all_pass",
     "associativity_fuzz",
-    "available_kernels",
     "bracket_generator",
     "check_rank",
     "classical_generator",
@@ -35,7 +32,6 @@ __all__ = [
     "generator_name",
     "qcommutator",
     "random_monomial",
-    "use_kernel",
     "verify_classical_limit",
     "verify_commutation_relations",
     "verify_defining_relations",

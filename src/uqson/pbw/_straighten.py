@@ -1,11 +1,8 @@
-"""Pure-Python straightening kernel.
+"""Straightening kernel: PBW normal forms by rewriting inversions.
 
 Words are bytes of generator codes, coefficients are {doubled exponent:
-rational} dicts. The compiled kernel in _straighten_cy.pyx mirrors this
-module exactly; both are selected through _kernel.
+rational} dicts.
 """
-
-KERNEL = "python"
 
 
 def cadd(a, b):

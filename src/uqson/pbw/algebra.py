@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from ..coeffring import LaurentPoly
 from ..errors import IndexOutOfRange, RankMismatch, VariantMismatch
-from . import _kernel
+from . import _straighten
 from ._rules import PLUS, VARIANTS, check_rank, gen_code, gen_pairs, rule_table
 
 
@@ -77,7 +77,7 @@ class AlgebraElement:
         _check_variant(variant)
         word = bytes(gen_code(n, k, l) for k, l in pairs)
         out = {}
-        _kernel.get().straighten_into(out, word, {0: 1}, 0, rule_table(n, variant))
+        _straighten.straighten_into(out, word, {0: 1}, 0, rule_table(n, variant))
         return cls(n, variant, _terms=out)
 
     # -- views ---------------------------------------------------------------
@@ -144,11 +144,10 @@ class AlgebraElement:
                 return NotImplemented
             other = AlgebraElement(self.n, self.variant, _terms={b"": raw} if raw else {})
         self._check_compatible(other)
-        kern = _kernel.get()
         out = {w: dict(c) for w, c in self._terms.items()}
         for w, c in other._terms.items():
             cur = out.get(w)
-            merged = dict(c) if cur is None else kern.cadd(cur, c)
+            merged = dict(c) if cur is None else _straighten.cadd(cur, c)
             if merged:
                 out[w] = merged
             else:
@@ -182,17 +181,16 @@ class AlgebraElement:
     def _scaled(self, raw):
         if not raw:
             return AlgebraElement(self.n, self.variant)
-        kern = _kernel.get()
         return AlgebraElement(
             self.n,
             self.variant,
-            _terms={w: kern.cmul(c, raw) for w, c in self._terms.items()},
+            _terms={w: _straighten.cmul(c, raw) for w, c in self._terms.items()},
         )
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_compatible(other)
-            terms = _kernel.get().mul_terms(
+            terms = _straighten.mul_terms(
                 self._terms, other._terms, rule_table(self.n, self.variant)
             )
             return AlgebraElement(self.n, self.variant, _terms=terms)

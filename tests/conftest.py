@@ -7,8 +7,6 @@ the run so the verdicts survive pytest's output capture.
 
 from __future__ import annotations
 
-import pytest
-
 ACCEPTANCE_LINES: list[str] = []
 
 
@@ -22,13 +20,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
-
-
-@pytest.fixture
-def restore_kernel():
-    """Put the straightening kernel back no matter what a test selects."""
-    from uqson.pbw import active_kernel, use_kernel
-
-    before = active_kernel()
-    yield
-    use_kernel(before)

@@ -8,12 +8,19 @@ Exit codes: 0 pass, 1 check failed, 2 usage/syntax, 3 degenerate value,
 from __future__ import annotations
 
 import json
+import os
+import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from uqson import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_REDUCE = "q*I21*I32 - q^(1/2)*I31\n"
 
 
 def run(capsys, *argv):
@@ -28,7 +35,7 @@ def run(capsys, *argv):
 def test_pbw_reduce_golden_stdout(capsys):
     code, out, _ = run(capsys, "pbw-reduce", "--n", "3", "I32*I21")
     assert code == 0
-    assert out == "q*I21*I32 - q^(1/2)*I31\n"
+    assert out == GOLDEN_REDUCE
 
 
 def test_pbw_reduce_infers_minus_variant(capsys):
@@ -182,14 +189,35 @@ def test_exit_5_on_missing_or_malformed_files(capsys, tmp_path):
     assert code == 5
 
 
-# -- installed entry point ---------------------------------------------------------
+# -- separate processes ------------------------------------------------------------
 
 
-@pytest.mark.skipif(shutil.which("uqson") is None, reason="console script not installed")
-def test_console_script_matches_module_invocation():
-    proc = subprocess.run(
-        ["uqson", "pbw-reduce", "--n", "3", "I32*I21"],
-        capture_output=True, text=True, timeout=60,
-    )
+def run_process(argv):
+    """Run argv with the package importable from src/, as a user's shell would."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env, cwd=ROOT)
+
+
+def test_module_invocation_has_clean_stderr():
+    proc = run_process([sys.executable, "-m", "uqson.cli", "pbw-reduce", "--n", "3", "I32*I21"])
     assert proc.returncode == 0
-    assert proc.stdout == "q*I21*I32 - q^(1/2)*I31\n"
+    assert proc.stdout == GOLDEN_REDUCE
+    assert proc.stderr == ""
+
+
+def console_script_argv():
+    """The installed `uqson` script, or else the entry point pyproject.toml
+    declares for it, called the way the generated script calls it."""
+    script = shutil.which("uqson")
+    if script:
+        return [script]
+    text = (ROOT / "pyproject.toml").read_text()
+    module, func = re.search(r'^uqson = "([\w.]+):(\w+)"$', text, re.M).groups()
+    return [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
+def test_console_script_matches_module_invocation():
+    proc = run_process(console_script_argv() + ["pbw-reduce", "--n", "3", "I32*I21"])
+    assert proc.returncode == 0
+    assert proc.stdout == GOLDEN_REDUCE
