@@ -34,6 +34,7 @@ from uqson.pbw.verify import (
 )
 from uqson.reps import (
     build_representation,
+    commutant_certificate,
     commutant_dimension,
     enumerate_tableaux,
     random_generic_params,
@@ -187,6 +188,7 @@ def test_c06_representation_residuals_20_seeds():
 def test_c07_irreducibility_commutant_dimension_one():
     t0 = time.monotonic()
     dims = {}
+    certs = []
     degen_txt = ""
     ok = True
     big_elapsed = 0.0
@@ -204,7 +206,12 @@ def test_c07_irreducibility_commutant_dimension_one():
             dims[(n, k)] = "DegenerateDenominator"
             continue
         t1 = time.monotonic()
-        dims[(n, k)] = commutant_dimension(ops)
+        cert = commutant_certificate(ops)
+        dims[(n, k)] = cert.dimension
+        certs.append(
+            f"({n},{k}) {cert.path} gap {cert.gap:.1e} cond {cert.cond:.1e}"
+            f" zero/edge margins {cert.zero_margin:.1e}/{cert.edge_margin:.1e}"
+        )
         if expected >= 81:
             big_elapsed = time.monotonic() - t1
     elapsed = time.monotonic() - t0
@@ -212,7 +219,8 @@ def test_c07_irreducibility_commutant_dimension_one():
     dim_txt = ", ".join(f"({n},{k})={d}" for (n, k), d in sorted(dims.items()))
     record_acceptance(
         f"[C07] commutant dimension 1: {'PASS' if ok else 'FAIL'}"
-        f" ({elapsed:.1f}s, 81-dim solve {big_elapsed:.1f}s, {dim_txt}{degen_txt})"
+        f" ({elapsed:.1f}s, 81-dim solve {big_elapsed:.1f}s, {dim_txt}{degen_txt};"
+        f" {'; '.join(certs)})"
     )
     assert ok
 

@@ -106,6 +106,33 @@ def test_rep_pipeline_and_artifact_determinism(capsys, tmp_path):
     assert report.read_bytes() == report2.read_bytes()
 
 
+@pytest.mark.parametrize("k,cdim,code,verdict", [
+    # (4,4) is the known even-order result (README, "Known limitation"):
+    # two invariant subspaces, commutant dimension 2, exit 1
+    (4, 2, 1, "rep-verify dim=16 tol=1.000e-09: FAIL"),
+    (5, 1, 0, "rep-verify dim=25 tol=1.000e-09: PASS"),
+])
+def test_commutant_verdicts_at_rank_4(capsys, tmp_path, k, cdim, code, verdict):
+    params = tmp_path / "omega.json"
+    rep = tmp_path / "rep.json"
+    run(capsys, "params-sample", "--n", "4", "--order", str(k), "--seed", "0",
+        "--out", str(params))
+    run(capsys, "rep-build", "--params", str(params), "--out", str(rep))
+
+    got, out, _ = run(capsys, "rep-verify", "--rep", str(rep), "--q-order", str(k),
+                      "--commutant")
+    lines = out.splitlines()
+    assert got == code
+    assert lines[-2:] == [f"commutant-dim: {cdim}", verdict]
+
+    got, out, _ = run(capsys, "rep-commutant", "--rep", str(rep))
+    assert got == code
+    assert out.splitlines() == [
+        f"commutant-dim: {cdim}",
+        f"rep-commutant: {'PASS' if cdim == 1 else 'FAIL'} (irreducible iff 1)",
+    ]
+
+
 def test_params_sample_counts(capsys, tmp_path):
     for n, expected in [(3, 3), (4, 6), (5, 10), (6, 15)]:
         out_path = tmp_path / f"p{n}.json"

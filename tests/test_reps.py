@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqson import jsonio
 from uqson.coeffring import RootOfUnity
@@ -24,9 +27,12 @@ from uqson.errors import (
 )
 from uqson.reps import (
     ParamsOmega,
+    SparseOperator,
     Tableau,
+    _sylvester_dimension,
     assert_generic,
     build_representation,
+    commutant_certificate,
     commutant_dimension,
     enumerate_tableaux,
     l_value,
@@ -259,6 +265,79 @@ def test_commutant_rejects_mixed_dimensions():
         commutant_dimension(a + b)
     with pytest.raises(DimensionMismatch):
         relation_residual(a + b, RootOfUnity(3))
+
+
+def direct_sum(first, second):
+    """Block-diagonal operators T1 (+) T2, generator by generator."""
+    shift = first[0].dim
+    return [
+        SparseOperator(a.name, shift + b.dim, a.entries + tuple(
+            (r + shift, c + shift, v) for r, c, v in b.entries
+        ))
+        for a, b in zip(first, second)
+    ]
+
+
+def permuted(ops, perm):
+    """The operators in the basis reordered by e_j -> e_perm[j]."""
+    return [
+        SparseOperator(op.name, op.dim, tuple(sorted(
+            (int(perm[r]), int(perm[c]), v) for r, c, v in op.entries
+        )))
+        for op in ops
+    ]
+
+
+def test_spectral_path_declines_on_isomorphic_direct_sum():
+    # T (+) T: the generic element repeats every eigenvalue, and the
+    # eigenbasis graph would give 2 where the commutant is 2x2 matrices = 4
+    t = build_representation(random_generic_params(3, 3, 0))
+    cert = commutant_certificate(direct_sum(t, t))
+    assert cert.path == "sylvester"
+    assert cert.gap < 1e-12
+    assert cert.dimension == 4
+
+
+def test_spectral_path_splits_non_isomorphic_direct_sum():
+    t1 = build_representation(random_generic_params(3, 3, 0))
+    t2 = build_representation(random_generic_params(3, 3, 1))
+    cert = commutant_certificate(direct_sum(t1, t2))
+    assert cert.path == "spectral"
+    assert cert.dimension == 2
+    assert min(cert.zero_margin, cert.edge_margin) >= 1e3
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectral_path_matches_sylvester_oracle(n, k, seed):
+    ops = build_representation(random_generic_params(n, k, seed))
+    cert = commutant_certificate(ops)
+    assert cert.path == "spectral"
+    assert cert.dimension == _sylvester_dimension(ops)
+
+
+@pytest.mark.parametrize("entries,dim,path,expected", [
+    # one 1x1 operator: the commutant is all of C
+    ([((0, 0, 2.0),)], 1, "spectral", 1),
+    # zero operators: A = 0 has no gap, and every 3x3 matrix commutes
+    ([(), ()], 3, "sylvester", 9),
+    # one diagonal operator with distinct entries: the diagonal matrices
+    ([((0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.5))], 3, "spectral", 3),
+])
+def test_commutant_certificate_on_degenerate_inputs(entries, dim, path, expected):
+    ops = [SparseOperator(f"T{i}", dim, e) for i, e in enumerate(entries)]
+    cert = commutant_certificate(ops)
+    assert (cert.path, cert.dimension) == (path, expected)
+
+
+@settings(max_examples=15, deadline=None)
+@given(case=st.sampled_from([(3, 5), (4, 3), (4, 4)]), data=st.data())
+def test_commutant_invariant_under_basis_permutation(case, data):
+    ops = build_representation(random_generic_params(*case, 0))
+    perm = np.array(data.draw(st.permutations(range(ops[0].dim))))
+    before = commutant_certificate(ops)
+    after = commutant_certificate(permuted(ops, perm))
+    assert (after.dimension, after.path) == (before.dimension, before.path)
 
 
 def test_diagonal_vanishes_exactly_where_l_is_zero():
