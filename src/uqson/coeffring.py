@@ -49,6 +49,48 @@ def _require_finite(z):
     return z
 
 
+# Raw coefficient arithmetic on {doubled exponent: rational} dicts, shared by
+# LaurentPoly and the straightening kernel. Results never store a zero
+# coefficient, and the arguments are never modified.
+
+
+def cadd(a, b):
+    """Sum of two raw coefficient dicts."""
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        else:
+            s = s + c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def cmul(a, b):
+    """Product of two raw coefficient dicts."""
+    out = {}
+    if not a or not b:
+        return out
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            s = out.get(e)
+            s = ca * cb if s is None else s + ca * cb
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
 def format_rational(r):
     r = Fraction(r)
     if r.denominator == 1:
@@ -166,14 +208,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e2, c in other._terms.items():
-            s = out.get(e2, 0) + c
-            if s:
-                out[e2] = s
-            else:
-                out.pop(e2, None)
-        return LaurentPoly(_raw=out)
+        return LaurentPoly(_raw=cadd(self._terms, other._terms))
 
     __radd__ = __add__
 
@@ -196,16 +231,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                e = ea + eb
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(_raw=out)
+        return LaurentPoly(_raw=cmul(self._terms, other._terms))
 
     __rmul__ = __mul__
 

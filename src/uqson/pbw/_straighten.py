@@ -4,40 +4,7 @@ Words are bytes of generator codes, coefficients are {doubled exponent:
 rational} dicts.
 """
 
-
-def cadd(a, b):
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e)
-        if s is None:
-            out[e] = c
-        else:
-            s = s + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
-
-
-def cmul(a, b):
-    out = {}
-    if not a or not b:
-        return out
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            s = out.get(e)
-            s = ca * cb if s is None else s + ca * cb
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
+from ..coeffring import cadd, cmul
 
 
 def first_inversion(w, start):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..coeffring import LaurentPoly
+from ..coeffring import LaurentPoly, cadd, cmul
 from ..errors import IndexOutOfRange, RankMismatch, VariantMismatch
 from . import _straighten
 from ._rules import PLUS, VARIANTS, check_rank, gen_code, gen_pairs, rule_table
@@ -147,7 +147,7 @@ class AlgebraElement:
         out = {w: dict(c) for w, c in self._terms.items()}
         for w, c in other._terms.items():
             cur = out.get(w)
-            merged = dict(c) if cur is None else _straighten.cadd(cur, c)
+            merged = dict(c) if cur is None else cadd(cur, c)
             if merged:
                 out[w] = merged
             else:
@@ -184,7 +184,7 @@ class AlgebraElement:
         return AlgebraElement(
             self.n,
             self.variant,
-            _terms={w: _straighten.cmul(c, raw) for w, c in self._terms.items()},
+            _terms={w: cmul(c, raw) for w, c in self._terms.items()},
         )
 
     def __mul__(self, other):

@@ -1,11 +1,11 @@
 """Irreducible representations at roots of unity built from tableau data.
 
 The basis of the k^N-dimensional space is labelled by tableaux whose variable
-entries range cyclically over k values above the h parameters; operators for
-the two generator families act by shifting one tableau entry up or down (mod
-k) with coefficients that are ratios of q-brackets of l-coordinates, plus a
-diagonal term for the even family. Matrix columns are indexed by the source
-tableau.
+entries range cyclically over k values above the h parameters. Each generator
+I_{s+1,s} acts by shifting one entry of row s up or down (mod k) with
+coefficients that are ratios of q-brackets of l-coordinates, plus a diagonal
+term for odd s. Matrix columns are indexed by the source tableau, read as a
+mixed-radix number in base k.
 """
 
 from __future__ import annotations
@@ -167,21 +167,17 @@ def m_value(omega, tab, i, s):
     return omega.h[(i, s)] + tab.offsets[pos]
 
 
+def _l_from_m(m, i, s):
+    """l-coordinate of the entry m_{i,s}: m + p - i for s = 2p, m + p - i + 1
+    for s = 2p+1. The sums run left to right; regrouping them, as in
+    m + (p - i), changes the last bit of the operator entries."""
+    l = m + s // 2 - i
+    return l + 1 if s % 2 else l
+
+
 def l_value(omega, tab, i, s):
     """l-coordinate: m + p - i for s = 2p, m + p - i + 1 for s = 2p+1."""
-    m = m_value(omega, tab, i, s)
-    if s % 2 == 0:
-        return m + s // 2 - i
-    return m + (s - 1) // 2 - i + 1
-
-
-def l_coords(omega, tab):
-    """All l-coordinates of a tableau as {(i, s): complex}, top row included."""
-    out = {}
-    for s in range(2, omega.n + 1):
-        for i in range(1, s // 2 + 1):
-            out[(i, s)] = l_value(omega, tab, i, s)
-    return out
+    return _l_from_m(m_value(omega, tab, i, s), i, s)
 
 
 def shift_tableau(omega, tab, i, s, direction):
@@ -199,36 +195,30 @@ def shift_tableau(omega, tab, i, s, direction):
 # -- coefficient evaluation --------------------------------------------------
 
 
-def _bracket(omega, x):
-    return qbracket_numeric(x, omega.root)
+def _bracket(root, x, label=None):
+    """The q-bracket [x]. With a label, [x] is a denominator factor and a
+    vanishing value raises DegenerateParameter naming it.
 
-
-def _sqrt_bracket(omega, x):
-    """Coherent square root of the bracket [x]: principal branch, keyed by the
-    argument so every occurrence of the same factor shares one branch."""
-    return cmath.sqrt(qbracket_numeric(x, omega.root))
-
-
-def _sqrt_bracket_checked(omega, x, label):
-    v = qbracket_numeric(x, omega.root)
-    if abs(v) < _ZERO_TOL:
-        raise DegenerateParameter(f"vanishing denominator bracket [{label}] = [{x}]")
-    return cmath.sqrt(v)
-
-
-def _den_factor(omega, x, label):
-    v = _bracket(omega, x)
-    if abs(v) < _ZERO_TOL:
+    Brackets stay scalar cmath: numpy's complex division differs from
+    CPython's in the last bit, and the build must reproduce it exactly.
+    """
+    v = qbracket_numeric(x, root)
+    if label is not None and abs(v) < _ZERO_TOL:
         raise DegenerateParameter(f"vanishing denominator bracket [{label}] = [{x}]")
     return v
 
 
-def coeff_A(omega, tab, j, p):
-    """Shift coefficient of the odd-family operator: square root of
-      prod_{i=1..p}   [l_{i,2p+1}+l_{j,2p}] [l_{i,2p+1}-l_{j,2p}-1]
-    * prod_{i=1..p-1} [l_{i,2p-1}+l_{j,2p}] [l_{i,2p-1}-l_{j,2p}-1]
-    / prod_{i != j, i<=p} [l_{i,2p}+l_{j,2p}] [l_{i,2p}-l_{j,2p}]
-                          [l_{i,2p}+l_{j,2p}+1] [l_{i,2p}-l_{j,2p}-1].
+def shift_coeff(root, s, j, upper, row, lower):
+    """Coefficient for shifting entry j of row s, from the l-coordinates of
+    rows s+1, s and s-1 of the source basis vector (sequences indexed from
+    entry 1). It is a square root of
+
+      prod_{i<=(s+1)/2} [l_{i,s+1}+l_{j,s}] [l_{i,s+1}-l_{j,s}-e]
+    * prod_{i<=(s-1)/2} [l_{i,s-1}+l_{j,s}] [l_{i,s-1}-l_{j,s}-e]
+    / prod_{i != j, i<=s/2} [l_{i,s}+l_{j,s}] [l_{i,s}-l_{j,s}]
+                            [l_{i,s}+l_{j,s}+-1] [l_{i,s}-l_{j,s}-1],
+
+    bounds rounded down, with e = 1 and +1 for even s, e = 0 and -1 for odd s.
 
     The root is taken factor by factor, not of the assembled quotient: the
     defining relations close only when the same bracket factor carries the
@@ -239,96 +229,48 @@ def coeff_A(omega, tab, j, p):
     are legitimate (the matrix entry vanishes); denominator zeros mean the
     parameters are degenerate.
     """
-    if not (1 <= j <= p):
-        raise IndexOutOfRange(f"coeff_A needs 1 <= j <= p, got j={j}, p={p}")
-    if 2 * p + 1 > omega.n:
-        raise IndexOutOfRange(f"row {2 * p + 1} exceeds rank {omega.n}")
-    lj = l_value(omega, tab, j, 2 * p)
+
+    def sqrt_bracket(x, label=None):
+        return cmath.sqrt(_bracket(root, x, label))
+
+    e = 1 - s % 2
+    pm = 1 if e else -1
+    lj = row[j - 1]
     num = 1 + 0j
-    for i in range(1, p + 1):
-        li = l_value(omega, tab, i, 2 * p + 1)
-        num *= _sqrt_bracket(omega, li + lj) * _sqrt_bracket(omega, li - lj - 1)
-    for i in range(1, p):
-        # row 2p-1 sits below row 2p: reorient the difference
-        li = l_value(omega, tab, i, 2 * p - 1)
-        num *= _sqrt_bracket(omega, li + lj) * (1j * _sqrt_bracket(omega, lj - li + 1))
+    for li in upper:
+        num *= sqrt_bracket(li + lj) * sqrt_bracket(li - lj - e)
+    for li in lower:
+        # row s-1 sits below row s: reorient the difference
+        num *= sqrt_bracket(li + lj) * (1j * sqrt_bracket(lj - li + e))
     den = 1 + 0j
-    for i in range(1, p + 1):
+    for i, li in enumerate(row, 1):
         if i == j:
             continue
-        li = l_value(omega, tab, i, 2 * p)
-        row = 2 * p
-        den *= _sqrt_bracket_checked(omega, li + lj, f"l_{i},{row}+l_{j},{row}")
-        den *= _sqrt_bracket_checked(omega, li + lj + 1, f"l_{i},{row}+l_{j},{row}+1")
+        den *= sqrt_bracket(li + lj, f"l_{i},{s}+l_{j},{s}")
+        den *= sqrt_bracket(li + lj + pm, f"l_{i},{s}+l_{j},{s}{pm:+d}")
         if i < j:
-            den *= _sqrt_bracket_checked(omega, li - lj, f"l_{i},{row}-l_{j},{row}")
-            den *= _sqrt_bracket_checked(omega, li - lj - 1, f"l_{i},{row}-l_{j},{row}-1")
+            den *= sqrt_bracket(li - lj, f"l_{i},{s}-l_{j},{s}")
+            den *= sqrt_bracket(li - lj - 1, f"l_{i},{s}-l_{j},{s}-1")
         else:
-            den *= 1j * _sqrt_bracket_checked(omega, lj - li, f"l_{j},{row}-l_{i},{row}")
-            den *= 1j * _sqrt_bracket_checked(
-                omega, lj - li + 1, f"l_{j},{row}-l_{i},{row}+1"
-            )
+            den *= 1j * sqrt_bracket(lj - li, f"l_{j},{s}-l_{i},{s}")
+            den *= 1j * sqrt_bracket(lj - li + 1, f"l_{j},{s}-l_{i},{s}+1")
     return num / den
 
 
-def coeff_B(omega, tab, j, p):
-    """Shift coefficient of the even-family operator: square root of
-      prod_{i=1..p}   [l_{i,2p}+l_{j,2p-1}] [l_{i,2p}-l_{j,2p-1}]
-    * prod_{i=1..p-1} [l_{i,2p-2}+l_{j,2p-1}] [l_{i,2p-2}-l_{j,2p-1}]
-    / prod_{i != j, i<=p-1} [l_{i,2p-1}+l_{j,2p-1}] [l_{i,2p-1}-l_{j,2p-1}]
-                            [l_{i,2p-1}+l_{j,2p-1}-1] [l_{i,2p-1}-l_{j,2p-1}-1].
-
-    Same factor-by-factor coherent root and orientation rules as coeff_A.
+def diagonal_coeff(root, s, upper, row, lower):
+    """Diagonal coefficient of I_{s+1,s} for odd s, from the l-coordinates of
+    rows s+1, s and s-1:
+    prod_i [l_{i,s+1}] * prod_i [l_{i,s-1}] / prod_i [l_{i,s}] [l_{i,s}-1].
     """
-    if not (1 <= j <= p - 1):
-        raise IndexOutOfRange(f"coeff_B needs 1 <= j <= p-1, got j={j}, p={p}")
-    if 2 * p > omega.n:
-        raise IndexOutOfRange(f"row {2 * p} exceeds rank {omega.n}")
-    lj = l_value(omega, tab, j, 2 * p - 1)
     num = 1 + 0j
-    for i in range(1, p + 1):
-        li = l_value(omega, tab, i, 2 * p)
-        num *= _sqrt_bracket(omega, li + lj) * _sqrt_bracket(omega, li - lj)
-    for i in range(1, p):
-        # row 2p-2 sits below row 2p-1: reorient the difference
-        li = l_value(omega, tab, i, 2 * p - 2)
-        num *= _sqrt_bracket(omega, li + lj) * (1j * _sqrt_bracket(omega, lj - li))
+    for li in upper:
+        num *= _bracket(root, li)
+    for li in lower:
+        num *= _bracket(root, li)
     den = 1 + 0j
-    for i in range(1, p):
-        if i == j:
-            continue
-        li = l_value(omega, tab, i, 2 * p - 1)
-        row = 2 * p - 1
-        den *= _sqrt_bracket_checked(omega, li + lj, f"l_{i},{row}+l_{j},{row}")
-        den *= _sqrt_bracket_checked(omega, li + lj - 1, f"l_{i},{row}+l_{j},{row}-1")
-        if i < j:
-            den *= _sqrt_bracket_checked(omega, li - lj, f"l_{i},{row}-l_{j},{row}")
-            den *= _sqrt_bracket_checked(omega, li - lj - 1, f"l_{i},{row}-l_{j},{row}-1")
-        else:
-            den *= 1j * _sqrt_bracket_checked(omega, lj - li, f"l_{j},{row}-l_{i},{row}")
-            den *= 1j * _sqrt_bracket_checked(
-                omega, lj - li + 1, f"l_{j},{row}-l_{i},{row}+1"
-            )
-    return num / den
-
-
-def coeff_C(omega, tab, p):
-    """Diagonal coefficient of the even-family operator:
-    prod_{s=1..p} [l_{s,2p}] * prod_{s=1..p-1} [l_{s,2p-2}]
-    / prod_{s=1..p-1} [l_{s,2p-1}] [l_{s,2p-1}-1].
-    """
-    if 2 * p > omega.n:
-        raise IndexOutOfRange(f"row {2 * p} exceeds rank {omega.n}")
-    num = 1 + 0j
-    for s in range(1, p + 1):
-        num *= _bracket(omega, l_value(omega, tab, s, 2 * p))
-    for s in range(1, p):
-        num *= _bracket(omega, l_value(omega, tab, s, 2 * p - 2))
-    den = 1 + 0j
-    for s in range(1, p):
-        ls = l_value(omega, tab, s, 2 * p - 1)
-        den *= _den_factor(omega, ls, f"l_{s},{2 * p - 1}")
-        den *= _den_factor(omega, ls - 1, f"l_{s},{2 * p - 1}-1")
+    for i, li in enumerate(row, 1):
+        den *= _bracket(root, li, f"l_{i},{s}")
+        den *= _bracket(root, li - 1, f"l_{i},{s}-1")
     return num / den
 
 
@@ -367,93 +309,99 @@ class SparseOperator:
         return max(counts.values(), default=0)
 
 
-def _assemble(name, dim, cells):
-    entries = tuple(
-        (r, c, v) for (r, c), v in sorted(cells.items()) if v != 0
-    )
-    return SparseOperator(name, dim, entries)
+def _basis_table(omega):
+    """(offsets, strides, lvals, rows), computed once per representation.
+
+    Basis vector idx (enumerate_tableaux order) has offset
+    offsets[idx][pos] = idx // strides[pos] % k at variable slot pos, with
+    strides[pos] = k**(N-1-pos); lvals[pos][off] is the l-coordinate of slot
+    pos at offset off, and rows[s] lists the slot positions of row s.
+    """
+    k = omega.order_k
+    slots = variable_slots(omega.n)
+    strides = [k ** (len(slots) - 1 - pos) for pos in range(len(slots))]
+    offsets = (np.arange(k ** len(slots))[:, None] // strides % k).tolist()
+    lvals = [
+        [_l_from_m(omega.h[(i, s)] + off, i, s) for off in range(k)] for i, s in slots
+    ]
+    rows = {}
+    for pos, (_, s) in enumerate(slots):
+        rows.setdefault(s, []).append(pos)
+    return offsets, strides, lvals, rows
 
 
-def operator_odd(omega, p):
-    """Matrix of the generator pairing rows 2p+1 and 2p (shift-only action)."""
-    if 2 * p + 1 > omega.n:
-        raise IndexOutOfRange(f"operator_odd needs 2p+1 <= n, got p={p}, n={omega.n}")
-    tabs = enumerate_tableaux(omega)
-    dim = len(tabs)
+def _shift_operator(omega, table, s):
+    """Matrix of the generator I_{s+1,s}: each entry of row s shifted up and
+    down by one, cyclically mod k, plus a diagonal term for odd s.
+
+    Shifting slot pos moves the basis index by +-strides[pos], wrapping
+    within that mixed-radix digit. Besides the diagonal term, the two
+    families differ only in the shift denominators: q^l + q^-l for even s,
+    [2l-1][l] up and [2l-1][l-1] down for odd s.
+    """
+    offsets, strides, lvals, rows = table
+    n, k, root = omega.n, omega.order_k, omega.root
+    top = [_l_from_m(m, i, n) for i, m in enumerate(omega.m_top, 1)]
+
+    def row_l(r, offs):
+        return top if r == n else [lvals[pos][offs[pos]] for pos in rows.get(r, ())]
+
     cells = {}
-    for col, tab in enumerate(tabs):
-        for j in range(1, p + 1):
-            lj = l_value(omega, tab, j, 2 * p)
-            den = qpow_complex(lj, omega.root) + qpow_complex(-lj, omega.root)
-            if abs(den) < _ZERO_TOL:
-                raise DegenerateParameter(
-                    f"vanishing denominator q^l+q^-l at l_{j},{2 * p} = {lj}"
-                )
-            cj = omega.c[(j, 2 * p)]
-            up = shift_tableau(omega, tab, j, 2 * p, +1)
-            val = cj * coeff_A(omega, tab, j, p) / den
-            if val != 0:
-                key = (tableau_index(up), col)
-                cells[key] = cells.get(key, 0) + val
-            down = shift_tableau(omega, tab, j, 2 * p, -1)
-            val = -coeff_A(omega, down, j, p) / (cj * den)
-            if val != 0:
-                key = (tableau_index(down), col)
-                cells[key] = cells.get(key, 0) + val
-    return _assemble(f"I{2 * p + 1}{2 * p}", dim, cells)
 
+    def add(r, c, val):
+        if val != 0:
+            cells[(r, c)] = cells.get((r, c), 0) + val
 
-def operator_even(omega, p):
-    """Matrix of the generator pairing rows 2p and 2p-1 (shifts plus diagonal)."""
-    if 2 * p > omega.n:
-        raise IndexOutOfRange(f"operator_even needs 2p <= n, got p={p}, n={omega.n}")
-    tabs = enumerate_tableaux(omega)
-    dim = len(tabs)
-    cells = {}
-    for col, tab in enumerate(tabs):
-        for j in range(1, p):
-            lj = l_value(omega, tab, j, 2 * p - 1)
-            shared = _den_factor(omega, 2 * lj - 1, f"2l_{j},{2 * p - 1}-1")
-            den_up = shared * _den_factor(omega, lj, f"l_{j},{2 * p - 1}")
-            den_down = shared * _den_factor(omega, lj - 1, f"l_{j},{2 * p - 1}-1")
-            cj = omega.c[(j, 2 * p - 1)]
-            up = shift_tableau(omega, tab, j, 2 * p - 1, +1)
-            val = cj * coeff_B(omega, tab, j, p) / den_up
-            if val != 0:
-                key = (tableau_index(up), col)
-                cells[key] = cells.get(key, 0) + val
-            down = shift_tableau(omega, tab, j, 2 * p - 1, -1)
-            val = -coeff_B(omega, down, j, p) / (cj * den_down)
-            if val != 0:
-                key = (tableau_index(down), col)
-                cells[key] = cells.get(key, 0) + val
-        diag = 1j * coeff_C(omega, tab, p)
-        if diag != 0:
-            key = (col, col)
-            cells[key] = cells.get(key, 0) + diag
-    return _assemble(f"I{2 * p}{2 * p - 1}", dim, cells)
+    for col, offs in enumerate(offsets):
+        upper, row, lower = row_l(s + 1, offs), row_l(s, offs), row_l(s - 1, offs)
+        for j, pos in enumerate(rows.get(s, ()), 1):
+            lj = row[j - 1]
+            if s % 2 == 0:
+                den_up = den_down = qpow_complex(lj, root) + qpow_complex(-lj, root)
+                if abs(den_up) < _ZERO_TOL:
+                    raise DegenerateParameter(
+                        f"vanishing denominator q^l+q^-l at l_{j},{s} = {lj}"
+                    )
+            else:
+                shared = _bracket(root, 2 * lj - 1, f"2l_{j},{s}-1")
+                den_up = shared * _bracket(root, lj, f"l_{j},{s}")
+                den_down = shared * _bracket(root, lj - 1, f"l_{j},{s}-1")
+            cj = omega.c[(j, s)]
+            off, step = offs[pos], strides[pos]
+            add(col + ((off + 1) % k - off) * step, col,
+                cj * shift_coeff(root, s, j, upper, row, lower) / den_up)
+            down_row = list(row)
+            down_row[j - 1] = lvals[pos][(off - 1) % k]
+            add(col + ((off - 1) % k - off) * step, col,
+                -shift_coeff(root, s, j, upper, down_row, lower) / (cj * den_down))
+        if s % 2:
+            add(col, col, 1j * diagonal_coeff(root, s, upper, row, lower))
+    entries = tuple((r, c, v) for (r, c), v in sorted(cells.items()) if v != 0)
+    return SparseOperator(f"I{s + 1}{s}", len(offsets), entries)
 
 
 def build_representation(omega):
     """Operators for the neighbor generators in order (I21, I32, ..., I_{n,n-1})."""
-    ops = []
-    for j in range(1, omega.n):
-        if j % 2 == 1:
-            ops.append(operator_even(omega, (j + 1) // 2))
-        else:
-            ops.append(operator_odd(omega, j // 2))
-    return ops
+    table = _basis_table(omega)
+    return [_shift_operator(omega, table, s) for s in range(1, omega.n)]
 
 
 # -- verification --------------------------------------------------------------
 
 
-def relation_residual(ops, root):
-    """Max-entry residual of every defining relation on the given operators."""
-    n = len(ops) + 1
+def _common_dim(ops):
+    if not ops:
+        raise DimensionMismatch("need at least one operator")
     dims = {op.dim for op in ops}
     if len(dims) != 1:
         raise DimensionMismatch(f"operators have mixed dimensions {sorted(dims)}")
+    return dims.pop()
+
+
+def relation_residual(ops, root):
+    """Max-entry residual of every defining relation on the given operators."""
+    n = len(ops) + 1
+    _common_dim(ops)
     dense = [op.to_dense() for op in ops]
     q = root.value()
     qq = q + 1 / q
@@ -495,15 +443,6 @@ class CommutantCertificate:
     cond: float  # 2-norm condition number of its eigenvector matrix V
     zero_margin: float  # edge threshold / largest entry counted as zero
     edge_margin: float  # smallest entry counted as an edge / edge threshold
-
-
-def _common_dim(ops):
-    if not ops:
-        raise DimensionMismatch("need at least one operator")
-    dims = {op.dim for op in ops}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"operators have mixed dimensions {sorted(dims)}")
-    return dims.pop()
 
 
 def _component_count(adj):
@@ -627,9 +566,8 @@ def _sylvester_dimension(ops):
     d2 = d * d
     if d2 <= 1600:
         eye = np.eye(d)
-        blocks = [
-            np.kron(eye, op.to_dense()) - np.kron(op.to_dense().T, eye) for op in ops
-        ]
+        dense = [op.to_dense() for op in ops]
+        blocks = [np.kron(eye, t) - np.kron(t.T, eye) for t in dense]
         m = np.vstack(blocks)
         if not m.any():
             return d2

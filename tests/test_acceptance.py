@@ -239,13 +239,13 @@ def test_c08_parameter_count():
 
 
 def test_c09_vanishing_diagonal_when_l_is_zero():
-    from uqson.reps import ParamsOmega, operator_even, variable_slots
+    from uqson.reps import ParamsOmega, variable_slots
 
     base = random_generic_params(4, 3, seed=6)
     h = dict(base.h)
     h[(1, 2)] = 0.0
     omega = ParamsOmega(n=4, root=base.root, m_top=base.m_top, h=h, c=base.c)
-    op = operator_even(omega, 1)
+    op = build_representation(omega)[0]  # I21
     slot = variable_slots(4).index((1, 2))
     tabs = enumerate_tableaux(omega)
     diag_cols = {c for r, c, _ in op.entries if r == c}

@@ -1,0 +1,61 @@
+"""Regression pin for the representation build: the `rep-build` JSON of seeded
+parameter points must stay byte-identical, and degenerate parameters must be
+refused at build time with the documented message.
+
+The digest is the sha256 of `jsonio.dumps_json(rep_to_json(ops))`, the exact
+bytes `rep-build` writes. Any rewrite of `reps.build_representation` must
+reproduce these digests: every matrix entry to the last bit, in the same
+order.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from uqson import jsonio
+from uqson.errors import DegenerateParameter
+from uqson.reps import ParamsOmega, build_representation, random_generic_params
+
+# (n, k, seed, t) -> sha256 of the rep-build JSON
+REP_DIGESTS = {
+    (3, 3, 0, 1): "729c50d4e2246f04ad08cdf52beed571dce6860a254ba7bc42713ab46fa621b0",
+    (3, 8, 0, 1): "d38aebb5e3c7a2b9e57f04c061061f2534540715db3ff2344c0c967caab9149e",
+    (4, 3, 0, 1): "485c4e689844c047f466e97fa4482f07b711264eea330ba6a184dee49de1def5",
+    (4, 4, 0, 1): "29857160ba1d6d3494f1425f7bfa3f8875c5c48b935df5562dab66f4868f0939",
+    (4, 5, 0, 2): "8fae4f6bcbc704bcc8043969a3af8318b2e549fda59d6356ae83d0de6917dfcb",
+    (5, 3, 0, 1): "0ca80e251ecab6d949702eac50c0c7d1a27a4fc6400dbaf6766b9980d527aebf",
+    (5, 5, 0, 1): "0775c98074ae13e26cc936987ebbd52bff27be547361665d8455a56ce27a2666",
+    (6, 3, 0, 1): "2487f0993f3d8d6442493015ca9bd2f324fdb508a6f1a2e4d8511b3469f2363e",
+}
+
+
+@pytest.mark.parametrize("n, k, seed, t", sorted(REP_DIGESTS))
+def test_rep_build_json_pinned(n, k, seed, t):
+    ops = build_representation(random_generic_params(n, k, seed, t))
+    blob = jsonio.dumps_json(jsonio.rep_to_json(ops))
+    assert hashlib.sha256(blob.encode()).hexdigest() == REP_DIGESTS[(n, k, seed, t)]
+
+
+def _with_h(n, k, seed, slot, value):
+    base = random_generic_params(n, k, seed)
+    h = dict(base.h)
+    h[slot] = value(h)
+    return ParamsOmega(n=n, root=base.root, m_top=base.m_top, h=h, c=base.c)
+
+
+def test_integral_same_row_difference_is_refused_at_build():
+    # l_{1,4} - l_{2,4} = 3, and [3] = 0 at k = 3: a shift denominator vanishes
+    omega = _with_h(5, 3, 2, (1, 4), lambda h: h[(2, 4)] + 2.0)
+    message = r"^vanishing denominator bracket \[l_1,4-l_2,4\] = \["
+    with pytest.raises(DegenerateParameter, match=message):
+        build_representation(omega)
+
+
+def test_vanishing_q_power_sum_is_refused_at_build():
+    # l_{1,2} = 3/4 at k = 3: q^l + q^-l = 2 cos(pi/2) = 0
+    omega = _with_h(4, 3, 2, (1, 2), lambda h: 0.75)
+    message = r"^vanishing denominator q\^l\+q\^-l at l_1,2 = \(0\.75\+0j\)$"
+    with pytest.raises(DegenerateParameter, match=message):
+        build_representation(omega)

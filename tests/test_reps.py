@@ -38,8 +38,6 @@ from uqson.reps import (
     l_value,
     m_value,
     num_positive_roots,
-    operator_even,
-    operator_odd,
     parameter_count,
     random_generic_params,
     relation_residual,
@@ -47,6 +45,10 @@ from uqson.reps import (
     tableau_index,
     variable_slots,
 )
+
+
+def operators_by_name(omega):
+    return {op.name: op for op in build_representation(omega)}
 
 
 def worst_residual(omega):
@@ -188,24 +190,25 @@ def test_generator_order_and_names():
 
 
 def test_sparsity_bounds():
-    omega = random_generic_params(5, 3, 9)
-    # odd family: at most 2p entries per column (one up, one down per j <= p)
-    assert operator_odd(omega, 1).max_column_nonzeros() <= 2
-    assert operator_odd(omega, 2).max_column_nonzeros() <= 4
-    # even family: 2(p-1) shifts plus one diagonal entry
-    assert operator_even(omega, 1).max_column_nonzeros() <= 1
-    assert operator_even(omega, 2).max_column_nonzeros() <= 3
+    ops = operators_by_name(random_generic_params(5, 3, 9))
+    # odd family I_{2p+1,2p}: at most 2p entries per column (one up, one
+    # down per j <= p)
+    assert ops["I32"].max_column_nonzeros() <= 2
+    assert ops["I54"].max_column_nonzeros() <= 4
+    # even family I_{2p,2p-1}: 2(p-1) shifts plus one diagonal entry
+    assert ops["I21"].max_column_nonzeros() <= 1
+    assert ops["I43"].max_column_nonzeros() <= 3
 
 
 def test_odd_operator_generic_column_count_is_exactly_2p():
     # generic parameters keep every shift coefficient nonzero
     omega = random_generic_params(5, 3, 9)
-    assert operator_odd(omega, 2).max_column_nonzeros() == 4
+    assert operators_by_name(omega)["I54"].max_column_nonzeros() == 4
 
 
 def test_rank3_even_operator_is_purely_diagonal():
     omega = random_generic_params(3, 5, 4)
-    op = operator_even(omega, 1)
+    op = operators_by_name(omega)["I21"]
     assert all(r == c for r, c, _ in op.entries)
 
 
@@ -347,7 +350,7 @@ def test_diagonal_vanishes_exactly_where_l_is_zero():
     h = dict(base.h)
     h[(1, 2)] = 0.0
     omega = ParamsOmega(n=4, root=base.root, m_top=base.m_top, h=h, c=base.c)
-    op = operator_even(omega, 1)
+    op = operators_by_name(omega)["I21"]
     diag_cols = {c for r, c, _ in op.entries if r == c}
     tabs = enumerate_tableaux(omega)
     slot = variable_slots(4).index((1, 2))
