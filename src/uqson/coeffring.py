@@ -92,6 +92,8 @@ def cmul(a, b):
 
 
 def format_rational(r):
+    if type(r) is int:
+        return str(r)
     r = Fraction(r)
     if r.denominator == 1:
         return str(r.numerator)
@@ -117,7 +119,8 @@ def format_laurent(items2):
         return "0"
     pieces = []
     for e2, c in items2:
-        c = Fraction(c)
+        if type(c) is not int:
+            c = Fraction(c)
         mag = abs(c)
         if e2 == 0:
             body = format_rational(mag)
@@ -126,10 +129,20 @@ def format_laurent(items2):
         else:
             body = f"{format_rational(mag)}*{format_qpower(e2)}"
         pieces.append((c < 0, body))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    return join_signed(pieces)
+
+
+def join_signed(pieces):
+    """Join (negative, body) pieces as 'a + b - c'; a negative first piece
+    gets a bare '-' prefix."""
+    parts = []
+    for neg, body in pieces:
+        if parts:
+            parts.append(" - " if neg else " + ")
+        elif neg:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts)
 
 
 class LaurentPoly:

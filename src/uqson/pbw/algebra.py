@@ -76,8 +76,7 @@ class AlgebraElement:
         check_rank(n)
         _check_variant(variant)
         word = bytes(gen_code(n, k, l) for k, l in pairs)
-        out = {}
-        _straighten.straighten_into(out, word, {0: 1}, 0, rule_table(n, variant))
+        out = _straighten.straighten({word: {0: 1}}, rule_table(n, variant))
         return cls(n, variant, _terms=out)
 
     # -- views ---------------------------------------------------------------

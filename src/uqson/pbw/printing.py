@@ -8,7 +8,9 @@ parser.
 
 from __future__ import annotations
 
-from ..coeffring import format_laurent, format_qpower, format_rational
+from functools import lru_cache
+
+from ..coeffring import format_laurent, format_qpower, format_rational, join_signed
 from ._rules import MINUS, gen_pairs
 
 
@@ -17,6 +19,12 @@ def generator_name(k, l, variant):
     if variant == MINUS and k > l + 1:
         return f"Im{k}{l}"
     return f"I{k}{l}"
+
+
+@lru_cache(maxsize=None)
+def _generator_names(n, variant):
+    """Printed name of each generator code."""
+    return tuple(generator_name(k, l, variant) for k, l in gen_pairs(n))
 
 
 def _term_piece(items, mono):
@@ -46,15 +54,9 @@ def _term_piece(items, mono):
 def element_to_str(el):
     if not el._terms:
         return "0"
-    pairs = gen_pairs(el.n)
-    pieces = []
-    for word in sorted(el._terms):
-        items = tuple(sorted(el._terms[word].items()))
-        mono = "*".join(
-            generator_name(*pairs[c], el.variant) for c in word
-        )
-        pieces.append(_term_piece(items, mono))
-    out = ("-" if pieces[0][0] else "") + pieces[0][1]
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+    names = _generator_names(el.n, el.variant)
+    terms = el._terms
+    return join_signed(
+        _term_piece(tuple(sorted(terms[w].items())), "*".join([names[c] for c in w]))
+        for w in sorted(terms)
+    )

@@ -233,6 +233,16 @@ def test_module_invocation_has_clean_stderr():
     assert proc.stderr == ""
 
 
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # every CLI process pays its imports (scipy alone adds about 0.36 s); the
+    # verbs load scipy only where a solve needs it, never at start-up
+    heavy = ("scipy", "sympy", "mpmath", "hypothesis")
+    code = f"import sys, uqson.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    proc = run_process([sys.executable, "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def console_script_argv():
     """The installed `uqson` script, or else the entry point pyproject.toml
     declares for it, called the way the generated script calls it."""

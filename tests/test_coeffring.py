@@ -184,3 +184,16 @@ def test_bracket_periodicity_at_root_of_unity():
     root = RootOfUnity(5, 1)
     x = 0.37 + 0.11j
     assert abs(qbracket_numeric(x, root) - qbracket_numeric(x + 5, root)) < 1e-12
+
+
+def test_fraction_coefficients_print_like_ints():
+    # integral Fractions made by the ring arithmetic print as the int would
+    poly = LaurentPoly.const(HALF) * LaurentPoly({0: 1, 1: 2, -1: -3})
+    assert poly._terms == {0: HALF, 2: Fraction(1), -2: Fraction(-3, 2)}
+    assert all(type(c) is Fraction for c in poly._terms.values())
+    assert str(poly) == "-3/2*q^(-1) + 1/2 + q"
+    unit = LaurentPoly.const(HALF) * 2
+    assert type(unit._terms[0]) is Fraction
+    assert str(unit) == str(LaurentPoly.one()) == "1"
+    assert str(unit - LaurentPoly.q(-1) * Fraction(3, 2)) == "-3/2*q^(-1) + 1"
+    assert str(-unit * LaurentPoly.q(HALF)) == str(LaurentPoly({HALF: -1})) == "-q^(1/2)"

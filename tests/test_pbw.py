@@ -260,3 +260,45 @@ def test_support_and_coefficient_views():
     assert e.coefficient(((2, 1), (3, 2))) == LaurentPoly.q(1)
     assert e.coefficient(((3, 2),)) == LaurentPoly.zero()
     assert e.degree() == 2
+
+
+# -- printing of Fraction coefficients ----------------------------------------
+
+
+def _int_twin(el):
+    """The same element with every integral Fraction coefficient as an int."""
+    terms = {
+        w: {e: int(c) if Fraction(c).denominator == 1 else c for e, c in cd.items()}
+        for w, cd in el._terms.items()
+    }
+    return AlgebraElement(el.n, el.variant, _terms=terms)
+
+
+def test_fraction_coefficients_print_like_ints():
+    # goldens were printed by the Fraction-only formatter; integral Fractions
+    # (kernel-made Fraction(1, 1), Fraction(-2, 1)) must print like the ints
+    poly = LaurentPoly.const(HALF) * LaurentPoly({0: 1, 1: 2, -1: -3})
+    cases = [
+        (gen(3, 2, 1) * HALF, "1/2*I21"),
+        ((gen(3, 2, 1) * HALF) * (gen(3, 3, 2) * 2), "I21*I32"),
+        ((gen(3, 3, 2) * HALF) * (gen(3, 2, 1) * 2), "q*I21*I32 - q^(1/2)*I31"),
+        (
+            gen(4, 4, 3, MINUS) * Fraction(-3, 2) + gen(4, 3, 1, MINUS) * Fraction(5, 3),
+            "5/3*Im31 - 3/2*I43",
+        ),
+        (
+            poly * gen(3, 2, 1) - HALF * gen(3, 3, 1) + poly,
+            "(-3/2*q^(-1) + 1/2 + q) + (-3/2*q^(-1) + 1/2 + q)*I21 - 1/2*I31",
+        ),
+        (
+            AlgebraElement.scalar(3, Fraction(-1, 2)) + gen(3, 2, 1) * Fraction(-2),
+            "-1/2 - 2*I21",
+        ),
+    ]
+    for el, text in cases:
+        coeffs = [c for cd in el._terms.values() for c in cd.values()]
+        assert all(type(c) is Fraction for c in coeffs)
+        assert str(el) == text
+        assert str(_int_twin(el)) == text
+    unit = cases[1][0]._terms[bytes((0, 2))][0]
+    assert type(unit) is Fraction and unit == 1

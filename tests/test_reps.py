@@ -238,6 +238,14 @@ def test_relation_residuals_single_seed(n, k, tol):
     assert worst_residual(omega) < tol
 
 
+def test_relation_residuals_rank_6():
+    # (6,3), 729 dims: row 5 is the first odd row with two entries, so this is
+    # the residual check of shift_coeff's odd-s same-row denominator bracket
+    omega = random_generic_params(6, 3, 0)
+    assert omega.dimension() == 729
+    assert worst_residual(omega) < 1e-7
+
+
 def test_relation_report_names():
     omega = random_generic_params(4, 3, 123)
     report = relation_residual(build_representation(omega), omega.root)
