@@ -1,7 +1,13 @@
 """q-deformed orthogonal enveloping algebra: normal forms, representations,
-embeddings, and verification tools."""
+embeddings, and verification tools.
 
-from . import coeffring, djembed, errors, jsonio, reps
+The modules `djembed`, `jsonio` and `reps` and the representation names are
+loaded on first access (PEP 562), so `import uqson` does not load numpy.
+"""
+
+import importlib
+
+from . import coeffring, errors
 from .coeffring import LaurentPoly, RootOfUnity, qnumber
 from .pbw import (
     MINUS,
@@ -12,7 +18,6 @@ from .pbw import (
     verify_commutation_relations,
     verify_defining_relations,
 )
-from .reps import ParamsOmega, Tableau, build_representation, random_generic_params
 
 __version__ = "0.1.0"
 
@@ -38,3 +43,29 @@ __all__ = [
     "verify_commutation_relations",
     "verify_defining_relations",
 ]
+
+# public name -> submodule that defines it (a submodule maps to itself)
+_LAZY = {
+    "djembed": "djembed",
+    "jsonio": "jsonio",
+    "reps": "reps",
+    "ParamsOmega": "params",
+    "Tableau": "reps",
+    "build_representation": "reps",
+    "random_generic_params": "params",
+}
+
+
+def __getattr__(name):
+    try:
+        source = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f"{__name__}.{source}")
+    value = module if source == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

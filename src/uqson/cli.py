@@ -6,6 +6,9 @@ rep-verify, rep-commutant, embed-verify, psi-verify, params-sample.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or expression
 syntax, 3 degenerate parameter or q value, 4 structural misuse (rank,
 variant, index, dimension), 5 file or format trouble.
+
+Each verb imports the modules it runs, so the exact verbs and params-sample
+never load numpy, whose import costs more than the rest of the package's.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import json
 import random
 import sys
 
-from . import djembed, jsonio, reps
 from .coeffring import RootOfUnity
 from .errors import (
     DegenerateDenominator,
@@ -125,6 +127,8 @@ def cmd_assoc_fuzz(args):
 
 
 def cmd_rep_build(args):
+    from . import jsonio, reps
+
     omega = jsonio.params_from_json(jsonio.load_json(args.params))
     reps.assert_generic(omega)
     ops = reps.build_representation(omega)
@@ -138,6 +142,8 @@ def cmd_rep_build(args):
 
 
 def cmd_rep_verify(args):
+    from . import jsonio, reps
+
     ops = jsonio.rep_from_json(jsonio.load_json(args.rep))
     root = RootOfUnity(args.q_order, args.q_t)
     dim = ops[0].dim if ops else 0
@@ -161,6 +167,8 @@ def cmd_rep_verify(args):
 
 
 def cmd_rep_commutant(args):
+    from . import jsonio, reps
+
     ops = jsonio.rep_from_json(jsonio.load_json(args.rep))
     cdim = reps.commutant_dimension(ops)
     print(f"commutant-dim: {cdim}")
@@ -169,6 +177,8 @@ def cmd_rep_commutant(args):
 
 
 def cmd_embed_verify(args):
+    from . import djembed, jsonio
+
     report = djembed.verify_embedding(args.n)
     for entry in report:
         print(f"{entry['check']}: {'pass' if entry['pass'] else 'FAIL'}")
@@ -180,6 +190,8 @@ def cmd_embed_verify(args):
 
 
 def cmd_psi_verify(args):
+    from . import djembed, jsonio
+
     rng = random.Random(args.seed)
     report = []
     for i in range(args.samples):
@@ -203,9 +215,11 @@ def cmd_psi_verify(args):
 
 
 def cmd_params_sample(args):
-    omega = reps.random_generic_params(args.n, args.order, args.seed, t=args.t)
+    from . import jsonio, params
+
+    omega = params.random_generic_params(args.n, args.order, args.seed, t=args.t)
     jsonio.dump_json(jsonio.params_to_json(omega), args.out)
-    count = reps.parameter_count(args.n)
+    count = params.parameter_count(args.n)
     print(
         f"params-sample: n={args.n} order={args.order} t={args.t} "
         f"seed={args.seed} parameters={count} -> {args.out}"

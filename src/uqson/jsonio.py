@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .coeffring import RootOfUnity
-from .reps import ParamsOmega, SparseOperator
+from .params import ParamsOmega
 
 
 def complex_to_json(z):
@@ -74,6 +74,8 @@ def rep_to_json(ops):
 
 
 def rep_from_json(data):
+    from .reps import SparseOperator  # loads numpy, which parameter files never need
+
     try:
         dim = int(data["dim"])
         ops = []

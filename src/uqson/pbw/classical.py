@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from ._rules import check_rank, classify_pair, gen_pairs, rule_table
 
 
 def classical_generator(n, k, l):
     """Integer matrix J[k,l] on C^n (0-indexed rows/cols)."""
+    import numpy as np  # not at module level: importing uqson.pbw must not load numpy
+
     check_rank(n)
     m = np.zeros((n, n), dtype=np.int64)
     sign = (-1) ** (k - l - 1)
@@ -41,6 +41,8 @@ def verify_classical_limit(n):
     Returns a report list of {"relation": str, "exact_zero": bool}; all rule
     coefficients must specialize to integers in {-1, 0, 1}.
     """
+    import numpy as np
+
     check_rank(n)
     pairs = gen_pairs(n)
     mats = [classical_generator(n, k, l) for k, l in pairs]

@@ -11,106 +11,28 @@ mixed-radix number in base k.
 from __future__ import annotations
 
 import cmath
-import random
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .coeffring import RootOfUnity, qbracket_numeric, qpow_complex
-from .errors import (
-    DegenerateParameter,
-    DimensionMismatch,
-    IndexOutOfRange,
-    ParameterSamplingError,
-    RankMismatch,
-    TopRowShift,
+from .coeffring import qbracket_numeric, qpow_complex
+from .errors import DegenerateParameter, DimensionMismatch, IndexOutOfRange, TopRowShift
+from .params import (  # the parameter layer, re-exported: these are the same objects
+    _ZERO_TOL,
+    ParamsOmega,
+    _as_complex,
+    _dist_to_half_integers,
+    _dist_to_integers,
+    _sample_imag_part,
+    _sample_real_part,
+    assert_generic,
+    num_positive_roots,
+    parameter_count,
+    random_generic_params,
+    variable_slots,
 )
 from .pbw.verify import defining_relation_instances
-
-# denominators with magnitude below this are treated as vanished
-_ZERO_TOL = 1e-12
-
-
-def variable_slots(n):
-    """Variable tableau positions (i, s): rows s = n-1 down to 2, i ascending."""
-    if not isinstance(n, int) or n < 3:
-        raise RankMismatch(f"rank must be an integer >= 3, got {n!r}")
-    return tuple((i, s) for s in range(n - 1, 1, -1) for i in range(1, s // 2 + 1))
-
-
-def num_positive_roots(n):
-    """N = sum of floor(s/2) for s = 2..n-1; the representation dimension is k^N."""
-    return len(variable_slots(n))
-
-
-def parameter_count(n):
-    return n * (n - 1) // 2
-
-
-def _as_complex(value, what):
-    z = complex(value)
-    if not (cmath.isfinite(z)):
-        raise ValueError(f"{what} must be finite, got {value!r}")
-    return z
-
-
-@dataclass(frozen=True)
-class ParamsOmega:
-    """Representation parameters: top row, h shifts, c scalars, root order.
-
-    The constructor validates structure only (index ranges, counts, nonzero
-    c); genericity of the h values is a separate check (assert_generic) so
-    that deliberately degenerate constructions remain expressible.
-    """
-
-    n: int
-    root: RootOfUnity
-    m_top: tuple
-    h: dict
-    c: dict
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
-            raise RankMismatch(f"rank must be an integer >= 3, got {self.n!r}")
-        if not isinstance(self.root, RootOfUnity):
-            raise TypeError("root must be a RootOfUnity")
-        object.__setattr__(
-            self, "m_top",
-            tuple(_as_complex(v, "m_top entry") for v in self.m_top),
-        )
-        if len(self.m_top) != self.n // 2:
-            raise ValueError(
-                f"m_top needs {self.n // 2} entries for n={self.n}, got {len(self.m_top)}"
-            )
-        slots = set(variable_slots(self.n))
-        for name, table in (("h", self.h), ("c", self.c)):
-            keys = set(table)
-            if keys != slots:
-                missing = sorted(slots - keys)
-                extra = sorted(keys - slots)
-                raise ValueError(
-                    f"{name} slots mismatch: missing {missing}, unexpected {extra}"
-                )
-        object.__setattr__(
-            self, "h", {k: _as_complex(v, f"h{k}") for k, v in self.h.items()}
-        )
-        c_clean = {}
-        for k, v in self.c.items():
-            z = _as_complex(v, f"c{k}")
-            if abs(z) <= _ZERO_TOL:
-                raise DegenerateParameter(f"c{k} must be nonzero")
-            c_clean[k] = z
-        object.__setattr__(self, "c", c_clean)
-        total = len(self.m_top) + len(self.h) + len(self.c)
-        assert total == parameter_count(self.n), "parameter inventory broken"
-
-    @property
-    def order_k(self):
-        return self.root.order
-
-    def dimension(self):
-        return self.order_k ** num_positive_roots(self.n)
 
 
 @dataclass(frozen=True)
@@ -602,100 +524,3 @@ def _sylvester_dimension(ops):
         if count < k or k >= min(128, d2 - 1):
             return count
         k = min(k * 2, 128)
-
-
-# -- parameter sampling ---------------------------------------------------------
-
-
-def _dist_to_integers(z):
-    return abs(complex(z) - round(z.real))
-
-
-def _dist_to_half_integers(z):
-    shifted = complex(z) - 0.5
-    return abs(shifted - round(shifted.real))
-
-
-def assert_generic(omega, margin=1e-3):
-    """Check the h genericity preconditions with a safety margin.
-
-    Pairwise sums and differences within each h row must stay `margin` away
-    from the integers; the h_{p,2p+1} entries must stay `margin` away from
-    half-integers; c values must stay away from zero. Raises
-    DegenerateParameter naming the first violated condition.
-    """
-    n = omega.n
-    for s in range(2, n):
-        row = [(i, omega.h[(i, s)]) for i in range(1, s // 2 + 1)]
-        for a in range(len(row)):
-            for b in range(a + 1, len(row)):
-                (ia, ha), (ib, hb) = row[a], row[b]
-                if _dist_to_integers(ha - hb) <= margin:
-                    raise DegenerateParameter(
-                        f"h({ia},{s}) - h({ib},{s}) is within {margin} of an integer"
-                    )
-                if _dist_to_integers(ha + hb) <= margin:
-                    raise DegenerateParameter(
-                        f"h({ia},{s}) + h({ib},{s}) is within {margin} of an integer"
-                    )
-    for (i, s), value in omega.h.items():
-        if s == 2 * i + 1 and _dist_to_half_integers(value) <= margin:
-            raise DegenerateParameter(
-                f"h({i},{s}) is within {margin} of a half-integer"
-            )
-    for key, value in omega.c.items():
-        if abs(value) <= margin:
-            raise DegenerateParameter(f"c{key} is within {margin} of zero")
-    return True
-
-
-def _sample_real_part(rng, margin=1e-3):
-    while True:
-        x = rng.random()
-        if min(abs(x), abs(x - 0.5), abs(x - 1.0)) > margin:
-            return x
-
-
-def _sample_imag_part(rng, used, margin=1e-3):
-    for _ in range(1000):
-        y = rng.uniform(0.05, 0.25)
-        if all(abs(y - u) > margin for u in used):
-            used.append(y)
-            return y
-    raise ParameterSamplingError("could not separate imaginary parts")
-
-
-def random_generic_params(n, order_k, seed, t=1):
-    """Deterministic generic parameter draw for the given root of unity.
-
-    Real parts are uniform on (0,1) away from {0, 1/2, 1}; every parameter
-    gets a distinct positive imaginary part, which keeps all bracket
-    denominators away from zero for every admissible t. c values live on the
-    annulus 0.5 <= |c| <= 2.
-    """
-    root = RootOfUnity(order_k, t)
-    rng = random.Random(seed)
-    for _ in range(200):
-        used_imag = []
-        m_top = tuple(
-            complex(_sample_real_part(rng), _sample_imag_part(rng, used_imag))
-            for _ in range(n // 2)
-        )
-        h = {}
-        c = {}
-        for slot in variable_slots(n):
-            h[slot] = complex(
-                _sample_real_part(rng), _sample_imag_part(rng, used_imag)
-            )
-            mag = rng.uniform(0.5, 2.0)
-            phase = rng.uniform(0.0, 2.0 * cmath.pi)
-            c[slot] = mag * cmath.exp(1j * phase)
-        omega = ParamsOmega(n=n, root=root, m_top=m_top, h=h, c=c)
-        try:
-            assert_generic(omega)
-        except DegenerateParameter:
-            continue
-        return omega
-    raise ParameterSamplingError(
-        f"no generic parameters found for n={n}, k={order_k}, seed={seed}"
-    )

@@ -233,14 +233,65 @@ def test_module_invocation_has_clean_stderr():
     assert proc.stderr == ""
 
 
+HEAVY = ("numpy", "scipy", "sympy", "mpmath", "hypothesis")
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
-    # every CLI process pays its imports (scipy alone adds about 0.36 s); the
-    # verbs load scipy only where a solve needs it, never at start-up
-    heavy = ("scipy", "sympy", "mpmath", "hypothesis")
-    code = f"import sys, uqson.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    # every CLI process pays its imports (numpy about 0.15 s, scipy about
+    # 0.36 s more); the verbs load them only where they compute with them
+    code = (
+        "import sys\n"
+        f"heavy = {HEAVY!r}\n"
+        "import uqson\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "import uqson.cli\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+    )
     proc = run_process([sys.executable, "-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
+
+
+# the exact verbs and params-sample run without numpy; rep-build needs it
+VERB_ARGV = {
+    "pbw-reduce": ["pbw-reduce", "--n", "3", "I32*I21"],
+    "relations-verify": ["relations-verify", "--n", "4"],
+    "commrel-verify": ["commrel-verify", "--n", "4", "--variant", "minus"],
+    "assoc-fuzz": ["assoc-fuzz", "--n", "3", "--degree", "3", "--trials", "5", "--seed", "1"],
+    "params-sample": ["params-sample", "--n", "4", "--order", "5", "--seed", "0",
+                      "--out", "{tmp}/omega.json"],
+    "rep-build": ["rep-build", "--params", "{tmp}/omega.json", "--out", "{tmp}/rep.json"],
+}
+
+
+@pytest.mark.parametrize("verb, loads_numpy", [
+    ("pbw-reduce", False),
+    ("relations-verify", False),
+    ("commrel-verify", False),
+    ("assoc-fuzz", False),
+    ("params-sample", False),
+    ("rep-build", True),
+])
+def test_verb_loads_numpy_only_when_it_computes_with_it(tmp_path, verb, loads_numpy):
+    if verb == "rep-build":
+        setup = [a.format(tmp=tmp_path) for a in VERB_ARGV["params-sample"]]
+        assert run_process([sys.executable, "-m", "uqson.cli", *setup]).returncode == 0
+    argv = [a.format(tmp=tmp_path) for a in VERB_ARGV[verb]]
+    # the report goes to stderr, so stdout is the verb's own output
+    code = (
+        "import sys\n"
+        "from uqson.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(sorted(m for m in {HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    in_process = run_process([sys.executable, "-c", code])
+    artifacts = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    module = run_process([sys.executable, "-m", "uqson.cli", *argv])
+    assert in_process.returncode == module.returncode == 0, in_process.stderr
+    assert in_process.stdout == module.stdout
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == artifacts
+    assert in_process.stderr == ("['numpy']\n" if loads_numpy else "[]\n")
 
 
 def console_script_argv():

@@ -1,0 +1,76 @@
+"""The package's public names: every exported name resolves, the lazily
+loaded ones are the objects their modules define, and the parameter layer
+that `reps` re-exports from `params` is one set of objects, not a copy.
+
+Tools that patch a function wherever a uqson module holds it (the traced
+benchmark launcher does) rely on that identity.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+import uqson
+from uqson import params, pbw, reps
+
+# names defined in uqson.params and re-exported by uqson.reps
+MOVED = (
+    "_ZERO_TOL",
+    "variable_slots",
+    "num_positive_roots",
+    "parameter_count",
+    "_as_complex",
+    "ParamsOmega",
+    "_dist_to_integers",
+    "_dist_to_half_integers",
+    "assert_generic",
+    "_sample_real_part",
+    "_sample_imag_part",
+    "random_generic_params",
+)
+
+
+@pytest.mark.parametrize("module", [uqson, pbw], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+    assert set(module.__all__) <= set(dir(module))
+
+
+def test_star_import_binds_every_exported_name():
+    namespace = {}
+    exec("from uqson import *", namespace)
+    assert set(uqson.__all__) <= set(namespace)
+    assert namespace["build_representation"] is reps.build_representation
+
+
+def test_lazy_names_are_the_defining_modules_objects():
+    assert uqson.reps is sys.modules["uqson.reps"]
+    assert uqson.djembed is sys.modules["uqson.djembed"]
+    assert uqson.jsonio is sys.modules["uqson.jsonio"]
+    assert uqson.build_representation is reps.build_representation
+    assert uqson.Tableau is reps.Tableau
+    assert uqson.ParamsOmega is params.ParamsOmega
+    assert uqson.random_generic_params is params.random_generic_params
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_reps_reexports_params_objects(name):
+    assert getattr(reps, name) is getattr(params, name)
+    obj = getattr(params, name)
+    holders = {
+        mod.__name__: vars(mod)[name]
+        for mod in list(sys.modules.values())
+        if getattr(mod, "__name__", "").startswith("uqson") and name in vars(mod)
+    }
+    assert {"uqson.params", "uqson.reps"} <= set(holders)
+    assert all(value is obj for value in holders.values())
+
+
+def test_unknown_attribute_raises_attribute_error():
+    assert not hasattr(uqson, "nope")
+    with pytest.raises(AttributeError, match="module 'uqson' has no attribute 'nope'"):
+        uqson.nope  # noqa: B018
+    assert getattr(uqson, "active_kernel", None) is None

@@ -1,9 +1,11 @@
-"""Regression pin for the representation build: the `rep-build` JSON of seeded
-parameter points must stay byte-identical, and degenerate parameters must be
-refused at build time with the documented message.
+"""Regression pin for parameter sampling and the representation build: the
+`params-sample` and `rep-build` JSON of seeded parameter points must stay
+byte-identical, and degenerate parameters must be refused at build time with
+the documented message.
 
-The digest is the sha256 of `jsonio.dumps_json(rep_to_json(ops))`, the exact
-bytes `rep-build` writes. Any rewrite of `reps.build_representation` must
+The digests are the sha256 of `jsonio.dumps_json(params_to_json(omega))` and
+of `jsonio.dumps_json(rep_to_json(ops))`, the exact bytes `params-sample` and
+`rep-build` write. Any rewrite of `reps.build_representation` must
 reproduce these digests: every matrix entry to the last bit, in the same
 order.
 """
@@ -18,6 +20,15 @@ from uqson import jsonio
 from uqson.errors import DegenerateParameter
 from uqson.reps import ParamsOmega, build_representation, random_generic_params
 
+# (n, k, seed, t) -> sha256 of the params-sample JSON
+PARAMS_DIGESTS = {
+    (3, 5, 0, 1): "cd96a2de3e84a08ccb638e24e9381334316ee21a8c1032b96f03566f4b257837",
+    (4, 4, 0, 1): "904c8b2e83fa170b354d52f343726da7cf5853277c560c8acefe91908f8db2c8",
+    (4, 5, 0, 2): "db99da657ea1b8f27eb38d486b86ebdac2bd1b28be4eafcc39a218a071cee3d6",
+    (5, 5, 0, 1): "a816622108824345c39766eff95cdfbc1fd0e6cde6d04f5d2943039bbd199b71",
+    (6, 3, 0, 1): "d8df85c374331426cc7e973cc05655419327b83bc5af2c020e9ce47e1d3f19a0",
+}
+
 # (n, k, seed, t) -> sha256 of the rep-build JSON
 REP_DIGESTS = {
     (3, 3, 0, 1): "729c50d4e2246f04ad08cdf52beed571dce6860a254ba7bc42713ab46fa621b0",
@@ -29,6 +40,13 @@ REP_DIGESTS = {
     (5, 5, 0, 1): "0775c98074ae13e26cc936987ebbd52bff27be547361665d8455a56ce27a2666",
     (6, 3, 0, 1): "2487f0993f3d8d6442493015ca9bd2f324fdb508a6f1a2e4d8511b3469f2363e",
 }
+
+
+@pytest.mark.parametrize("n, k, seed, t", sorted(PARAMS_DIGESTS))
+def test_params_sample_json_pinned(n, k, seed, t):
+    omega = random_generic_params(n, k, seed, t)
+    blob = jsonio.dumps_json(jsonio.params_to_json(omega))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PARAMS_DIGESTS[(n, k, seed, t)]
 
 
 @pytest.mark.parametrize("n, k, seed, t", sorted(REP_DIGESTS))
