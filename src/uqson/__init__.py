@@ -1,23 +1,14 @@
 """q-deformed orthogonal enveloping algebra: normal forms, representations,
 embeddings, and verification tools.
 
-The modules `djembed`, `jsonio` and `reps` and the representation names are
-loaded on first access (PEP 562), so `import uqson` does not load numpy.
+The subpackage `pbw`, the modules `djembed`, `jsonio` and `reps`, and the
+names they define are loaded on first access (PEP 562), so `import uqson`
+loads neither numpy nor the PBW kernel.
 """
 
-import importlib
-
 from . import coeffring, errors
+from ._lazy import lazy_attributes
 from .coeffring import LaurentPoly, RootOfUnity, qnumber
-from .pbw import (
-    MINUS,
-    PLUS,
-    AlgebraElement,
-    bracket_generator,
-    qcommutator,
-    verify_commutation_relations,
-    verify_defining_relations,
-)
 
 __version__ = "0.1.0"
 
@@ -28,7 +19,6 @@ __all__ = [
     "PLUS",
     "ParamsOmega",
     "RootOfUnity",
-    "Tableau",
     "__version__",
     "bracket_generator",
     "build_representation",
@@ -48,24 +38,18 @@ __all__ = [
 _LAZY = {
     "djembed": "djembed",
     "jsonio": "jsonio",
+    "pbw": "pbw",
     "reps": "reps",
+    "AlgebraElement": "pbw",
+    "MINUS": "pbw",
+    "PLUS": "pbw",
     "ParamsOmega": "params",
-    "Tableau": "reps",
+    "bracket_generator": "pbw",
     "build_representation": "reps",
+    "qcommutator": "pbw",
     "random_generic_params": "params",
+    "verify_commutation_relations": "pbw",
+    "verify_defining_relations": "pbw",
 }
 
-
-def __getattr__(name):
-    try:
-        source = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    module = importlib.import_module(f"{__name__}.{source}")
-    value = module if source == name else getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_attributes(globals(), _LAZY)

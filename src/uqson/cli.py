@@ -7,8 +7,9 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or expression
 syntax, 3 degenerate parameter or q value, 4 structural misuse (rank,
 variant, index, dimension), 5 file or format trouble.
 
-Each verb imports the modules it runs, so the exact verbs and params-sample
-never load numpy, whose import costs more than the rest of the package's.
+Each verb imports the modules it runs: the exact verbs never load numpy,
+whose import costs more than the rest of the package's, and params-sample
+and rep-build load neither numpy nor the PBW kernel.
 """
 
 from __future__ import annotations
@@ -33,14 +34,7 @@ from .errors import (
     VariantMismatch,
     ZeroBase,
 )
-from .expr import evaluate_expression
-from .pbw import (
-    MINUS,
-    PLUS,
-    verify_commutation_relations,
-    verify_defining_relations,
-)
-from .pbw.fuzz import associativity_fuzz
+from .pbw import MINUS, PLUS  # loads the rule table only
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -81,6 +75,8 @@ def _default_rep_tol(dim):
 
 
 def cmd_relations_verify(args):
+    from .pbw import verify_defining_relations
+
     report = verify_defining_relations(args.n, args.variant)
     _print_exact_report(report)
     ok = all(entry["exact_zero"] for entry in report)
@@ -92,6 +88,8 @@ def cmd_relations_verify(args):
 
 
 def cmd_commrel_verify(args):
+    from .pbw import verify_commutation_relations
+
     report = verify_commutation_relations(args.n, args.variant)
     _print_exact_report(report)
     ok = all(entry["exact_zero"] for entry in report)
@@ -103,6 +101,8 @@ def cmd_commrel_verify(args):
 
 
 def cmd_pbw_reduce(args):
+    from .expr import evaluate_expression
+
     variant = args.variant
     element = evaluate_expression(args.expression, args.n, variant=variant)
     print(str(element))
@@ -110,6 +110,8 @@ def cmd_pbw_reduce(args):
 
 
 def cmd_assoc_fuzz(args):
+    from .pbw.fuzz import associativity_fuzz
+
     report = associativity_fuzz(
         args.n, args.degree, args.trials, args.seed, args.variant
     )

@@ -74,7 +74,7 @@ def rep_to_json(ops):
 
 
 def rep_from_json(data):
-    from .reps import SparseOperator  # loads numpy, which parameter files never need
+    from .reps import SparseOperator  # parameter files never need the operator layer
 
     try:
         dim = int(data["dim"])

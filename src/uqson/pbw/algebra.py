@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..coeffring import LaurentPoly, cadd, cmul
+from ..coeffring import LaurentPoly, _as_rational, cadd, cmul
 from ..errors import IndexOutOfRange, RankMismatch, VariantMismatch
 from . import _straighten
 from ._rules import PLUS, VARIANTS, check_rank, gen_code, gen_pairs, rule_table
@@ -23,11 +23,12 @@ def _check_variant(variant):
 
 
 def _coeff_raw(value):
-    """Raw {doubled exponent: rational} form of a scalar, or None if not one."""
+    """Raw {doubled exponent: rational} form of a scalar, or None if not one.
+    An integral Fraction is stored as its int, as LaurentPoly stores it."""
     if isinstance(value, LaurentPoly):
         return value.exp2_dict()
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return {0: value} if value else {}
+        return {0: _as_rational(value)} if value else {}
     return None
 
 

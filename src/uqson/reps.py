@@ -6,18 +6,20 @@ I_{s+1,s} acts by shifting one entry of row s up or down (mod k) with
 coefficients that are ratios of q-brackets of l-coordinates, plus a diagonal
 term for odd s. Matrix columns are indexed by the source tableau, read as a
 mixed-radix number in base k.
+
+Building needs only the standard library; numpy is imported by the code that
+computes with matrices (to_dense, to_csr, the residual and the commutant).
 """
 
 from __future__ import annotations
 
 import cmath
+import struct
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .coeffring import qbracket_numeric, qpow_complex
-from .errors import DegenerateParameter, DimensionMismatch, IndexOutOfRange, TopRowShift
+from .errors import DegenerateParameter, DimensionMismatch
 from .params import (  # the parameter layer, re-exported: these are the same objects
     _ZERO_TOL,
     ParamsOmega,
@@ -32,61 +34,6 @@ from .params import (  # the parameter layer, re-exported: these are the same ob
     random_generic_params,
     variable_slots,
 )
-from .pbw.verify import defining_relation_instances
-
-
-@dataclass(frozen=True)
-class Tableau:
-    """One basis label: integer offsets above h, aligned with variable_slots."""
-
-    n: int
-    k: int
-    offsets: tuple
-
-    def __post_init__(self):
-        slots = variable_slots(self.n)
-        if len(self.offsets) != len(slots):
-            raise ValueError(
-                f"need {len(slots)} offsets for n={self.n}, got {len(self.offsets)}"
-            )
-        for off in self.offsets:
-            if not isinstance(off, int) or not (0 <= off < self.k):
-                raise ValueError(f"offset {off!r} outside 0..{self.k - 1}")
-
-
-def enumerate_tableaux(omega):
-    """All k^N tableaux in lexicographic offset order (first slot varies slowest)."""
-    slots = variable_slots(omega.n)
-    k = omega.order_k
-    return [
-        Tableau(omega.n, k, offs) for offs in product(range(k), repeat=len(slots))
-    ]
-
-
-def tableau_index(tab):
-    """Position of the tableau in enumerate_tableaux order."""
-    idx = 0
-    for off in tab.offsets:
-        idx = idx * tab.k + off
-    return idx
-
-
-def _slot_pos(n, i, s):
-    slots = variable_slots(n)
-    try:
-        return slots.index((i, s))
-    except ValueError:
-        raise IndexOutOfRange(f"no variable entry at (i={i}, s={s}) for n={n}") from None
-
-
-def m_value(omega, tab, i, s):
-    """Entry m_{i,s}: fixed top row for s=n, h + offset otherwise."""
-    if s == omega.n:
-        if not (1 <= i <= omega.n // 2):
-            raise IndexOutOfRange(f"top row has no entry i={i}")
-        return omega.m_top[i - 1]
-    pos = _slot_pos(omega.n, i, s)
-    return omega.h[(i, s)] + tab.offsets[pos]
 
 
 def _l_from_m(m, i, s):
@@ -97,40 +44,47 @@ def _l_from_m(m, i, s):
     return l + 1 if s % 2 else l
 
 
-def l_value(omega, tab, i, s):
-    """l-coordinate: m + p - i for s = 2p, m + p - i + 1 for s = 2p+1."""
-    return _l_from_m(m_value(omega, tab, i, s), i, s)
-
-
-def shift_tableau(omega, tab, i, s, direction):
-    """Tableau with m_{i,s} shifted by +-1, wrapping offsets cyclically mod k."""
-    if s == omega.n:
-        raise TopRowShift("the top row is fixed and cannot be shifted")
-    if direction not in (1, -1):
-        raise ValueError(f"direction must be +1 or -1, got {direction!r}")
-    pos = _slot_pos(omega.n, i, s)
-    offs = list(tab.offsets)
-    offs[pos] = (offs[pos] + direction) % tab.k
-    return Tableau(tab.n, tab.k, tuple(offs))
-
-
 # -- coefficient evaluation --------------------------------------------------
 
 
-def _bracket(root, x, label=None):
-    """The q-bracket [x]. With a label, [x] is a denominator factor and a
-    vanishing value raises DegenerateParameter naming it.
+# memo key: the bits of a complex value, plus a tag naming the function
+_KEY = struct.Struct("<cdd").pack
 
-    Brackets stay scalar cmath: numpy's complex division differs from
-    CPython's in the last bit, and the build must reproduce it exactly.
+
+def _bracket(root, memo, x, label=None):
+    """The q-bracket [x], computed once per build and kept in `memo`. With a
+    label, [x] is a denominator factor and a vanishing value raises
+    DegenerateParameter naming it, on every call, a memo hit included.
+
+    The key is the bits of x, not its value: 0j == -0j, yet cmath.sqrt(-1+0j)
+    and cmath.sqrt(-1-0j) fall on opposite branches, and [-0+0j] = 0j while
+    [-0-0j] = -0j. Brackets stay scalar cmath: numpy's complex division
+    differs from CPython's in the last bit, and the build must reproduce it
+    exactly.
     """
-    v = qbracket_numeric(x, root)
+    key = _KEY(b"[", x.real, x.imag)
+    try:
+        v = memo[key]
+    except KeyError:
+        v = memo[key] = qbracket_numeric(x, root)
     if label is not None and abs(v) < _ZERO_TOL:
         raise DegenerateParameter(f"vanishing denominator bracket [{label}] = [{x}]")
     return v
 
 
-def shift_coeff(root, s, j, upper, row, lower):
+def _qpow_sum(root, memo, x, label):
+    """The denominator q^x + q^-x, memoized and checked like _bracket."""
+    key = _KEY(b"+", x.real, x.imag)
+    try:
+        v = memo[key]
+    except KeyError:
+        v = memo[key] = qpow_complex(x, root) + qpow_complex(-x, root)
+    if abs(v) < _ZERO_TOL:
+        raise DegenerateParameter(f"vanishing denominator q^l+q^-l at {label} = {x}")
+    return v
+
+
+def shift_coeff(root, memo, s, j, upper, row, lower):
     """Coefficient for shifting entry j of row s, from the l-coordinates of
     rows s+1, s and s-1 of the source basis vector (sequences indexed from
     entry 1). It is a square root of
@@ -153,7 +107,7 @@ def shift_coeff(root, s, j, upper, row, lower):
     """
 
     def sqrt_bracket(x, label=None):
-        return cmath.sqrt(_bracket(root, x, label))
+        return cmath.sqrt(_bracket(root, memo, x, label))
 
     e = 1 - s % 2
     pm = 1 if e else -1
@@ -179,20 +133,20 @@ def shift_coeff(root, s, j, upper, row, lower):
     return num / den
 
 
-def diagonal_coeff(root, s, upper, row, lower):
+def diagonal_coeff(root, memo, s, upper, row, lower):
     """Diagonal coefficient of I_{s+1,s} for odd s, from the l-coordinates of
     rows s+1, s and s-1:
     prod_i [l_{i,s+1}] * prod_i [l_{i,s-1}] / prod_i [l_{i,s}] [l_{i,s}-1].
     """
     num = 1 + 0j
     for li in upper:
-        num *= _bracket(root, li)
+        num *= _bracket(root, memo, li)
     for li in lower:
-        num *= _bracket(root, li)
+        num *= _bracket(root, memo, li)
     den = 1 + 0j
     for i, li in enumerate(row, 1):
-        den *= _bracket(root, li, f"l_{i},{s}")
-        den *= _bracket(root, li - 1, f"l_{i},{s}-1")
+        den *= _bracket(root, memo, li, f"l_{i},{s}")
+        den *= _bracket(root, memo, li - 1, f"l_{i},{s}-1")
     return num / den
 
 
@@ -208,12 +162,15 @@ class SparseOperator:
     entries: tuple
 
     def to_dense(self):
+        import numpy as np
+
         m = np.zeros((self.dim, self.dim), dtype=np.complex128)
         for r, c, v in self.entries:
             m[r, c] = v
         return m
 
     def to_csr(self):
+        import numpy as np
         from scipy.sparse import csr_matrix
 
         if not self.entries:
@@ -234,15 +191,15 @@ class SparseOperator:
 def _basis_table(omega):
     """(offsets, strides, lvals, rows), computed once per representation.
 
-    Basis vector idx (enumerate_tableaux order) has offset
-    offsets[idx][pos] = idx // strides[pos] % k at variable slot pos, with
-    strides[pos] = k**(N-1-pos); lvals[pos][off] is the l-coordinate of slot
-    pos at offset off, and rows[s] lists the slot positions of row s.
+    Basis vector idx has offset offsets[idx][pos] = idx // strides[pos] % k
+    at variable slot pos, with strides[pos] = k**(N-1-pos): the first slot
+    varies slowest. lvals[pos][off] is the l-coordinate of slot pos at offset
+    off, and rows[s] lists the slot positions of row s.
     """
     k = omega.order_k
     slots = variable_slots(omega.n)
     strides = [k ** (len(slots) - 1 - pos) for pos in range(len(slots))]
-    offsets = (np.arange(k ** len(slots))[:, None] // strides % k).tolist()
+    offsets = list(product(range(k), repeat=len(slots)))
     lvals = [
         [_l_from_m(omega.h[(i, s)] + off, i, s) for off in range(k)] for i, s in slots
     ]
@@ -252,7 +209,7 @@ def _basis_table(omega):
     return offsets, strides, lvals, rows
 
 
-def _shift_operator(omega, table, s):
+def _shift_operator(omega, table, memo, s):
     """Matrix of the generator I_{s+1,s}: each entry of row s shifted up and
     down by one, cyclically mod k, plus a diagonal term for odd s.
 
@@ -279,33 +236,34 @@ def _shift_operator(omega, table, s):
         for j, pos in enumerate(rows.get(s, ()), 1):
             lj = row[j - 1]
             if s % 2 == 0:
-                den_up = den_down = qpow_complex(lj, root) + qpow_complex(-lj, root)
-                if abs(den_up) < _ZERO_TOL:
-                    raise DegenerateParameter(
-                        f"vanishing denominator q^l+q^-l at l_{j},{s} = {lj}"
-                    )
+                den_up = den_down = _qpow_sum(root, memo, lj, f"l_{j},{s}")
             else:
-                shared = _bracket(root, 2 * lj - 1, f"2l_{j},{s}-1")
-                den_up = shared * _bracket(root, lj, f"l_{j},{s}")
-                den_down = shared * _bracket(root, lj - 1, f"l_{j},{s}-1")
+                shared = _bracket(root, memo, 2 * lj - 1, f"2l_{j},{s}-1")
+                den_up = shared * _bracket(root, memo, lj, f"l_{j},{s}")
+                den_down = shared * _bracket(root, memo, lj - 1, f"l_{j},{s}-1")
             cj = omega.c[(j, s)]
             off, step = offs[pos], strides[pos]
             add(col + ((off + 1) % k - off) * step, col,
-                cj * shift_coeff(root, s, j, upper, row, lower) / den_up)
+                cj * shift_coeff(root, memo, s, j, upper, row, lower) / den_up)
             down_row = list(row)
             down_row[j - 1] = lvals[pos][(off - 1) % k]
             add(col + ((off - 1) % k - off) * step, col,
-                -shift_coeff(root, s, j, upper, down_row, lower) / (cj * den_down))
+                -shift_coeff(root, memo, s, j, upper, down_row, lower) / (cj * den_down))
         if s % 2:
-            add(col, col, 1j * diagonal_coeff(root, s, upper, row, lower))
+            add(col, col, 1j * diagonal_coeff(root, memo, s, upper, row, lower))
     entries = tuple((r, c, v) for (r, c), v in sorted(cells.items()) if v != 0)
     return SparseOperator(f"I{s + 1}{s}", len(offsets), entries)
 
 
 def build_representation(omega):
-    """Operators for the neighbor generators in order (I21, I32, ..., I_{n,n-1})."""
+    """Operators for the neighbor generators in order (I21, I32, ..., I_{n,n-1}).
+
+    One memo of brackets and q-power sums serves every generator: the same
+    few l-coordinates recur across columns and generators.
+    """
     table = _basis_table(omega)
-    return [_shift_operator(omega, table, s) for s in range(1, omega.n)]
+    memo = {}
+    return [_shift_operator(omega, table, memo, s) for s in range(1, omega.n)]
 
 
 # -- verification --------------------------------------------------------------
@@ -322,6 +280,10 @@ def _common_dim(ops):
 
 def relation_residual(ops, root):
     """Max-entry residual of every defining relation on the given operators."""
+    import numpy as np
+
+    from .pbw.verify import defining_relation_instances
+
     n = len(ops) + 1
     _common_dim(ops)
     dense = [op.to_dense() for op in ops]
@@ -373,6 +335,8 @@ def _component_count(adj):
     Breadth-first on boolean rows: scipy.sparse.csgraph would add about
     0.36 s of import to every CLI process that certifies a commutant.
     """
+    import numpy as np
+
     d = adj.shape[0]
     seen = np.zeros(d, dtype=bool)
     count = 0
@@ -396,6 +360,8 @@ def _eigenbasis_graph(dense):
     components is None when the gap or the conditioning already rules the
     eigenbasis out.
     """
+    import numpy as np
+
     nan = float("nan")
     d, m = dense[0].shape[0], len(dense)
     rng = np.random.default_rng(_GENERIC_SEED)
@@ -484,6 +450,8 @@ def _sylvester_dimension(ops):
     through a dense SVD, larger ones through sparse eigensolves of the
     normal matrix. The fallback of commutant_certificate and its test oracle.
     """
+    import numpy as np
+
     d = _common_dim(ops)
     d2 = d * d
     if d2 <= 1600:

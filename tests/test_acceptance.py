@@ -36,12 +36,13 @@ from uqson.reps import (
     build_representation,
     commutant_certificate,
     commutant_dimension,
-    enumerate_tableaux,
     random_generic_params,
     relation_residual,
 )
 
 import random
+
+from tableau_oracle import enumerate_tableaux
 
 # dimension-law cases: (n, order k) -> expected dimension k**N
 DIMENSION_CASES = [(3, 3, 3), (3, 5, 5), (4, 2, 4), (4, 3, 9), (5, 3, 81)]

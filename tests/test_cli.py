@@ -252,7 +252,8 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert proc.stdout == "[]\n[]\n"
 
 
-# the exact verbs and params-sample run without numpy; rep-build needs it
+# the exact verbs, params-sample and rep-build run without numpy; rep-verify
+# needs it. Each verb's setup runs first, in its own process.
 VERB_ARGV = {
     "pbw-reduce": ["pbw-reduce", "--n", "3", "I32*I21"],
     "relations-verify": ["relations-verify", "--n", "4"],
@@ -261,7 +262,13 @@ VERB_ARGV = {
     "params-sample": ["params-sample", "--n", "4", "--order", "5", "--seed", "0",
                       "--out", "{tmp}/omega.json"],
     "rep-build": ["rep-build", "--params", "{tmp}/omega.json", "--out", "{tmp}/rep.json"],
+    "rep-verify": ["rep-verify", "--rep", "{tmp}/rep.json", "--q-order", "5"],
 }
+SETUP = {"rep-build": ["params-sample"], "rep-verify": ["params-sample", "rep-build"]}
+
+# verbs that load neither uqson.expr nor the PBW kernel: no uqson.pbw module
+# but the rule table `_rules`, which defines the variant names the parser offers
+PBW_FREE = {"params-sample", "rep-build"}
 
 
 @pytest.mark.parametrize("verb, loads_numpy", [
@@ -270,11 +277,12 @@ VERB_ARGV = {
     ("commrel-verify", False),
     ("assoc-fuzz", False),
     ("params-sample", False),
-    ("rep-build", True),
+    ("rep-build", False),
+    ("rep-verify", True),
 ])
 def test_verb_loads_numpy_only_when_it_computes_with_it(tmp_path, verb, loads_numpy):
-    if verb == "rep-build":
-        setup = [a.format(tmp=tmp_path) for a in VERB_ARGV["params-sample"]]
+    for step in SETUP.get(verb, ()):
+        setup = [a.format(tmp=tmp_path) for a in VERB_ARGV[step]]
         assert run_process([sys.executable, "-m", "uqson.cli", *setup]).returncode == 0
     argv = [a.format(tmp=tmp_path) for a in VERB_ARGV[verb]]
     # the report goes to stderr, so stdout is the verb's own output
@@ -283,6 +291,9 @@ def test_verb_loads_numpy_only_when_it_computes_with_it(tmp_path, verb, loads_nu
         "from uqson.cli import main\n"
         f"code = main({argv!r})\n"
         f"print(sorted(m for m in {HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
+        "print(sorted(m for m in sys.modules if m == 'uqson.expr' or\n"
+        "             m.startswith('uqson.pbw.') and m != 'uqson.pbw._rules'),\n"
+        "      file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
     in_process = run_process([sys.executable, "-c", code])
@@ -291,7 +302,9 @@ def test_verb_loads_numpy_only_when_it_computes_with_it(tmp_path, verb, loads_nu
     assert in_process.returncode == module.returncode == 0, in_process.stderr
     assert in_process.stdout == module.stdout
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == artifacts
-    assert in_process.stderr == ("['numpy']\n" if loads_numpy else "[]\n")
+    heavy, kernel = in_process.stderr.splitlines()
+    assert heavy == ("['numpy']" if loads_numpy else "[]")
+    assert (kernel == "[]") == (verb in PBW_FREE), kernel
 
 
 def console_script_argv():

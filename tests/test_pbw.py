@@ -291,7 +291,7 @@ def test_fraction_coefficients_print_like_ints():
             "(-3/2*q^(-1) + 1/2 + q) + (-3/2*q^(-1) + 1/2 + q)*I21 - 1/2*I31",
         ),
         (
-            AlgebraElement.scalar(3, Fraction(-1, 2)) + gen(3, 2, 1) * Fraction(-2),
+            AlgebraElement.scalar(3, Fraction(-1, 2)) + gen(3, 2, 1) * HALF * -4,
             "-1/2 - 2*I21",
         ),
     ]
@@ -302,3 +302,19 @@ def test_fraction_coefficients_print_like_ints():
         assert str(_int_twin(el)) == text
     unit = cases[1][0]._terms[bytes((0, 2))][0]
     assert type(unit) is Fraction and unit == 1
+
+
+@pytest.mark.parametrize("value, text", [(Fraction(2), "2"), (Fraction(-6, 3), "-2"),
+                                         (Fraction(1, 2), "1/2")])
+def test_integral_fraction_scalars_are_stored_as_ints(value, text):
+    # term maps are canonical: an integral Fraction enters as its int, as in
+    # LaurentPoly, so {0: Fraction(2)} never sits where {0: 2} would
+    canonical = int(value) if value.denominator == 1 else value
+    el = AlgebraElement.scalar(3, value)
+    assert el._terms == {b"": {0: canonical}}
+    assert type(el._terms[b""][0]) is type(canonical)
+    assert str(el) == text
+    scaled = gen(3, 2, 1) * value
+    assert type(scaled._terms[bytes((0,))][0]) is type(canonical)
+    assert str(scaled) == f"{text}*I21"
+    assert str(value + gen(3, 2, 1)) == f"{text} + I21"

@@ -51,9 +51,13 @@ def test_lazy_names_are_the_defining_modules_objects():
     assert uqson.djembed is sys.modules["uqson.djembed"]
     assert uqson.jsonio is sys.modules["uqson.jsonio"]
     assert uqson.build_representation is reps.build_representation
-    assert uqson.Tableau is reps.Tableau
     assert uqson.ParamsOmega is params.ParamsOmega
     assert uqson.random_generic_params is params.random_generic_params
+    assert uqson.pbw is pbw
+    algebra, rules = sys.modules["uqson.pbw.algebra"], sys.modules["uqson.pbw._rules"]
+    assert uqson.AlgebraElement is pbw.AlgebraElement is algebra.AlgebraElement
+    assert uqson.PLUS is pbw.PLUS is rules.PLUS
+    assert pbw.associativity_fuzz is sys.modules["uqson.pbw.fuzz"].associativity_fuzz
 
 
 @pytest.mark.parametrize("name", MOVED)
@@ -74,3 +78,12 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'uqson' has no attribute 'nope'"):
         uqson.nope  # noqa: B018
     assert getattr(uqson, "active_kernel", None) is None
+    with pytest.raises(AttributeError, match="module 'uqson.pbw' has no attribute 'nope'"):
+        pbw.nope  # noqa: B018
+
+
+def test_tableau_path_is_not_public():
+    # the one-object-per-tableau path lives in tests/tableau_oracle.py
+    assert "Tableau" not in uqson.__all__
+    assert not hasattr(uqson, "Tableau")
+    assert not hasattr(reps, "enumerate_tableaux")

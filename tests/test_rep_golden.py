@@ -13,12 +13,19 @@ order.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 
 import pytest
 
 from uqson import jsonio
 from uqson.errors import DegenerateParameter
-from uqson.reps import ParamsOmega, build_representation, random_generic_params
+from uqson.reps import (
+    ParamsOmega,
+    assert_generic,
+    build_representation,
+    random_generic_params,
+)
 
 # (n, k, seed, t) -> sha256 of the params-sample JSON
 PARAMS_DIGESTS = {
@@ -54,6 +61,37 @@ def test_rep_build_json_pinned(n, k, seed, t):
     ops = build_representation(random_generic_params(n, k, seed, t))
     blob = jsonio.dumps_json(jsonio.rep_to_json(ops))
     assert hashlib.sha256(blob.encode()).hexdigest() == REP_DIGESTS[(n, k, seed, t)]
+
+
+# A hand-written (5,3) parameter file: real h and m_top whose imaginary parts
+# are 0.0 and -0.0. cmath sends 0j and -0j to opposite branches, so a
+# signed zero that reached the bracket memo under a key on the complex value
+# could change output bits. Digest recorded before the memo existed.
+SIGNED_ZERO_PARAMS = """{
+  "n": 5, "orderK": 3, "t": 1,
+  "mTop": [{"re": 0.613, "im": 0.0}, {"re": 0.271, "im": -0.0}],
+  "h": [
+    {"i": 1, "j": 2, "value": {"re": 0.137, "im": -0.0}},
+    {"i": 1, "j": 3, "value": {"re": 0.382, "im": 0.0}},
+    {"i": 1, "j": 4, "value": {"re": 0.744, "im": -0.0}},
+    {"i": 2, "j": 4, "value": {"re": 0.219, "im": 0.0}}
+  ],
+  "c": [
+    {"i": 1, "j": 2, "value": {"re": 1.25, "im": -0.0}},
+    {"i": 1, "j": 3, "value": {"re": -0.8, "im": 0.0}},
+    {"i": 1, "j": 4, "value": {"re": 0.9, "im": -0.0}},
+    {"i": 2, "j": 4, "value": {"re": 1.1, "im": 0.0}}
+  ]
+}"""
+SIGNED_ZERO_DIGEST = "8ec7da9a416aae4c3dd97375883b6ba6ba52ef2237e6660797f1c38e6ede3e00"
+
+
+def test_rep_build_json_pinned_with_signed_zero_imaginary_parts():
+    omega = jsonio.params_from_json(json.loads(SIGNED_ZERO_PARAMS))
+    assert math.copysign(1.0, omega.h[(1, 2)].imag) == -1.0  # the file's -0.0 survives
+    assert_generic(omega)
+    blob = jsonio.dumps_json(jsonio.rep_to_json(build_representation(omega)))
+    assert hashlib.sha256(blob.encode()).hexdigest() == SIGNED_ZERO_DIGEST
 
 
 def _with_h(n, k, seed, slot, value):

@@ -2,13 +2,15 @@
 relation residuals, irreducibility, and the JSON interchange formats.
 
 The l-coordinate oracle values are recomputed inline from the shift rules
-(l = m + p - i for even rows 2p, l = m + p - i + 1 for odd rows 2p+1) so the
-tests stay independent of the implementation's own l_value.
+(l = m + p - i for even rows 2p, l = m + p - i + 1 for odd rows 2p+1), and
+the build's basis table and shift targets are checked against the
+one-object-per-tableau path in `tableau_oracle`.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqson import jsonio
-from uqson.coeffring import RootOfUnity
+from uqson.coeffring import RootOfUnity, qbracket_numeric
 from uqson.errors import (
     DegenerateDenominator,
     DegenerateParameter,
@@ -28,22 +30,28 @@ from uqson.errors import (
 from uqson.reps import (
     ParamsOmega,
     SparseOperator,
-    Tableau,
+    _basis_table,
+    _bracket,
+    _qpow_sum,
     _sylvester_dimension,
     assert_generic,
     build_representation,
     commutant_certificate,
     commutant_dimension,
-    enumerate_tableaux,
-    l_value,
-    m_value,
     num_positive_roots,
     parameter_count,
     random_generic_params,
     relation_residual,
+    variable_slots,
+)
+
+from tableau_oracle import (
+    Tableau,
+    enumerate_tableaux,
+    l_value,
+    m_value,
     shift_tableau,
     tableau_index,
-    variable_slots,
 )
 
 
@@ -119,6 +127,58 @@ def test_shift_wraps_cyclically_and_top_row_is_fixed():
         shift_tableau(omega, tab, 1, 4, +1)
     with pytest.raises(ValueError):
         shift_tableau(omega, tab, 1, 2, 2)
+
+
+@pytest.mark.parametrize("n, k", [(4, 5), (5, 3), (6, 3)])
+def test_basis_table_and_shift_targets_match_tableau_oracle(n, k):
+    omega = random_generic_params(n, k, 0)
+    offsets, _, lvals, rows = _basis_table(omega)
+    tabs = enumerate_tableaux(omega)
+    slots = variable_slots(n)
+    assert offsets == [tab.offsets for tab in tabs]
+    for tab, offs in zip(tabs, offsets):
+        got = [lvals[pos][off] for pos, off in enumerate(offs)]
+        assert got == [l_value(omega, tab, i, s) for i, s in slots]
+    assert rows == {s: [slots.index((i, s)) for i in range(1, s // 2 + 1)]
+                    for s in range(2, n)}
+    # generic parameters leave no shift coefficient zero, so the off-diagonal
+    # support of I_{s+1,s} is exactly the +-1 shifts of every row-s entry
+    for s, op in enumerate(build_representation(omega), 1):
+        expected = {
+            (tableau_index(shift_tableau(omega, tab, i, s, d)), tableau_index(tab))
+            for tab in tabs
+            for i in range(1, s // 2 + 1)
+            for d in (1, -1)
+        }
+        assert {(r, c) for r, c, _ in op.entries if r != c} == expected
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)
+
+
+@pytest.mark.parametrize("first", [0.0, -0.0])
+def test_bracket_memo_keys_on_the_bits_of_x(first):
+    # 0j == -0j, but [-0+0j] = 0j and [-0-0j] = -0j: a memo keyed on the
+    # value would hand the first zero's bracket to the second
+    root = RootOfUnity(5, 1)
+    memo = {}
+    for imag in (first, -first, first):
+        x = complex(-0.0, imag)
+        assert _bits(_bracket(root, memo, x)) == _bits(qbracket_numeric(x, root))
+    assert len(memo) == 2
+
+
+def test_denominator_checks_run_on_a_memo_hit():
+    root = RootOfUnity(3, 1)
+    memo = {}
+    assert abs(_bracket(root, memo, 3 + 0j)) < 1e-15  # a numerator zero is legitimate
+    for _ in range(2):
+        with pytest.raises(DegenerateParameter, match=r"^vanishing denominator bracket \[l\] = "):
+            _bracket(root, memo, 3 + 0j, "l")
+    for _ in range(2):  # q^l + q^-l = 2 cos(pi/2) = 0 at k = 3
+        with pytest.raises(DegenerateParameter, match=r"^vanishing denominator q\^l\+q\^-l"):
+            _qpow_sum(root, memo, 0.75 + 0j, "l_1,2")
 
 
 # -- parameter container --------------------------------------------------------
