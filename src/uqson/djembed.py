@@ -12,54 +12,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import matmul
 
 import numpy as np
 
 from .coeffring import LaurentPoly, qnumber
 from .errors import DegenerateQ, IndexOutOfRange, SingularDenominator
-from .pbw.verify import defining_relation_instances
-
-# -- small exact matrix layer (lists of lists over LaurentPoly or complex) ----
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = None
-            for t in range(inner):
-                term = a[i][t] * b[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(s, a):
-    return [[s * x for x in row] for row in a]
-
-
-def mat_is_zero(a):
-    return all(not x for row in a for x in row)
-
-
-def mat_eval(a, q):
-    """Numeric numpy array from a symbolic matrix."""
-    out = np.zeros((len(a), len(a[0])), dtype=np.complex128)
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            out[i, j] = x.evaluate(q)
-    return out
+from .pbw.verify import defining_relation_residuals
 
 
 def poly_at_one(poly):
@@ -67,22 +26,13 @@ def poly_at_one(poly):
     return sum((Fraction(c) for _, c in poly.items2()), Fraction(0))
 
 
-def _sym_zeros(n):
-    return [[LaurentPoly.zero() for _ in range(n)] for _ in range(n)]
-
-
-def _sym_elementary(n, r, c, value=None):
-    m = _sym_zeros(n)
-    m[r][c] = LaurentPoly.one() if value is None else value
-    return m
-
-
 # -- vector representation of the standard quantum algebra --------------------
 
 
 @dataclass
 class SlnRepMatrices:
-    """Vector-representation matrices; symbolic entries are LaurentPoly."""
+    """Vector-representation matrices as numpy arrays: dtype object holding
+    LaurentPoly entries when symbolic, complex128 at a numeric q."""
 
     n: int
     symbolic: bool
@@ -99,8 +49,10 @@ def _self_check_sln(rep):
     if rep.symbolic:
         qq = qnumber(2)
         qdiff = LaurentPoly.q(1) - LaurentPoly.q(-1)
-        qpow = lambda e: LaurentPoly.q(e)
-        is_zero = mat_is_zero
+        qpow = LaurentPoly.q
+
+        def is_zero(m):
+            return not m.any()
     else:
         q = rep.q
         qq = q + 1 / q
@@ -109,7 +61,7 @@ def _self_check_sln(rep):
         scale = max(abs(q), abs(1 / q), 1.0) ** 3
 
         def is_zero(m):
-            return max(abs(x) for row in m for x in row) < 1e-12 * scale
+            return np.abs(m).max() < 1e-12 * scale
 
     def check(flag, what):
         if not flag:
@@ -119,29 +71,23 @@ def _self_check_sln(rep):
     for i in range(n - 1):
         for j in range(n - 1):
             a = cartan.get(abs(i - j), 0)
-            lhs = mat_mul(mat_mul(rep.K[i], rep.E[j]), rep.Kinv[i])
-            check(is_zero(mat_sub(lhs, mat_scale(qpow(a), rep.E[j]))), f"KEK i={i} j={j}")
-            lhs = mat_mul(mat_mul(rep.K[i], rep.F[j]), rep.Kinv[i])
-            check(is_zero(mat_sub(lhs, mat_scale(qpow(-a), rep.F[j]))), f"KFK i={i} j={j}")
-            comm = mat_sub(mat_mul(rep.E[i], rep.F[j]), mat_mul(rep.F[j], rep.E[i]))
-            rhs = mat_sub(rep.K[i], rep.Kinv[i]) if i == j else None
-            lhs = mat_scale(qdiff, comm)
-            check(
-                is_zero(mat_sub(lhs, rhs) if rhs is not None else lhs),
-                f"EF i={i} j={j}",
-            )
+            lhs = rep.K[i] @ rep.E[j] @ rep.Kinv[i]
+            check(is_zero(lhs - qpow(a) * rep.E[j]), f"KEK i={i} j={j}")
+            lhs = rep.K[i] @ rep.F[j] @ rep.Kinv[i]
+            check(is_zero(lhs - qpow(-a) * rep.F[j]), f"KFK i={i} j={j}")
+            lhs = qdiff * (rep.E[i] @ rep.F[j] - rep.F[j] @ rep.E[i])
+            if i == j:
+                lhs = lhs - (rep.K[i] - rep.Kinv[i])
+            check(is_zero(lhs), f"EF i={i} j={j}")
             if abs(i - j) == 1:
                 for fam in (rep.E, rep.F):
-                    a2b = mat_mul(mat_mul(fam[i], fam[i]), fam[j])
-                    aba = mat_mul(mat_mul(fam[i], fam[j]), fam[i])
-                    ba2 = mat_mul(fam[j], mat_mul(fam[i], fam[i]))
-                    serre = mat_add(mat_sub(a2b, mat_scale(qq, aba)), ba2)
-                    check(is_zero(serre), f"serre i={i} j={j}")
+                    a2b = fam[i] @ fam[i] @ fam[j]
+                    aba = fam[i] @ fam[j] @ fam[i]
+                    ba2 = fam[j] @ (fam[i] @ fam[i])
+                    check(is_zero(a2b - qq * aba + ba2), f"serre i={i} j={j}")
             elif i != j:
                 for tag, fam in (("EE", rep.E), ("FF", rep.F)):
-                    comm = mat_sub(
-                        mat_mul(fam[i], fam[j]), mat_mul(fam[j], fam[i])
-                    )
+                    comm = fam[i] @ fam[j] - fam[j] @ fam[i]
                     check(is_zero(comm), f"{tag} i={i} j={j}")
 
 
@@ -150,40 +96,34 @@ def vector_rep_sln(n, symbolic=True, q=None):
     if n < 2:
         raise IndexOutOfRange(f"need n >= 2, got {n}")
     if symbolic:
-        one = LaurentPoly.one()
-        qp = LaurentPoly.q(1)
-        qm = LaurentPoly.q(-1)
-        E = [_sym_elementary(n, i, i + 1) for i in range(n - 1)]
-        F = [_sym_elementary(n, i + 1, i) for i in range(n - 1)]
-        K, Kinv = [], []
-        for i in range(n - 1):
-            k = [[one if r == c else LaurentPoly.zero() for c in range(n)] for r in range(n)]
-            kinv = [row[:] for row in k]
-            k[i][i], k[i + 1][i + 1] = qp, qm
-            kinv[i][i], kinv[i + 1][i + 1] = qm, qp
-            K.append(k)
-            Kinv.append(kinv)
-        rep = SlnRepMatrices(n=n, symbolic=True, q=None, E=E, F=F, K=K, Kinv=Kinv)
+        q = None
+        zero, one = LaurentPoly.zero(), LaurentPoly.one()
+        qp, qm = LaurentPoly.q(1), LaurentPoly.q(-1)
+        dtype = object
     else:
         if q is None or q == 0:
             raise DegenerateQ("numeric mode needs a nonzero q")
-        E = [np.zeros((n, n), dtype=np.complex128) for _ in range(n - 1)]
-        F = [np.zeros((n, n), dtype=np.complex128) for _ in range(n - 1)]
-        K, Kinv = [], []
-        for i in range(n - 1):
-            E[i][i, i + 1] = 1
-            F[i][i + 1, i] = 1
-            k = np.eye(n, dtype=np.complex128)
-            kinv = np.eye(n, dtype=np.complex128)
-            k[i, i], k[i + 1, i + 1] = q, 1 / q
-            kinv[i, i], kinv[i + 1, i + 1] = 1 / q, q
-            K.append(k)
-            Kinv.append(kinv)
-        E = [m.tolist() for m in E]
-        F = [m.tolist() for m in F]
-        K = [m.tolist() for m in K]
-        Kinv = [m.tolist() for m in Kinv]
-        rep = SlnRepMatrices(n=n, symbolic=False, q=q, E=E, F=F, K=K, Kinv=Kinv)
+        zero, one, qp, qm = 0, 1, q, 1 / q
+        dtype = np.complex128
+
+    def matrix(*cells):
+        m = np.full((n, n), zero, dtype=dtype)
+        for r, c, value in cells:
+            m[r, c] = value
+        return m
+
+    def diagonal(i, first, second):
+        return matrix(*((r, r, one) for r in range(n)), (i, i, first), (i + 1, i + 1, second))
+
+    rep = SlnRepMatrices(
+        n=n,
+        symbolic=symbolic,
+        q=q,
+        E=[matrix((i, i + 1, one)) for i in range(n - 1)],
+        F=[matrix((i + 1, i, one)) for i in range(n - 1)],
+        K=[diagonal(i, qp, qm) for i in range(n - 1)],
+        Kinv=[diagonal(i, qm, qp) for i in range(n - 1)],
+    )
     _self_check_sln(rep)
     return rep
 
@@ -193,29 +133,7 @@ def tilde_I(j, rep):
     if not (2 <= j <= rep.n):
         raise IndexOutOfRange(f"tilde index {j} outside 2..{rep.n}")
     qs = LaurentPoly.q(1) if rep.symbolic else rep.q
-    corr = mat_scale(qs, mat_mul(rep.Kinv[j - 2], rep.E[j - 2]))
-    return mat_sub(rep.F[j - 2], corr)
-
-
-def _relation_matrices(n, tildes, qq):
-    """(name, residual matrix) for each defining relation on the tilde images."""
-    out = []
-    for name, kind, idx in defining_relation_instances(n):
-        if kind == "commute":
-            i, j = idx
-            a, b = tildes[i - 2], tildes[j - 2]
-            resid = mat_sub(mat_mul(a, b), mat_mul(b, a))
-        else:
-            (i,) = idx
-            a, b = tildes[i - 2], tildes[i - 1]
-            if kind == "serre-b":
-                a, b = b, a
-            a2b = mat_mul(mat_mul(a, a), b)
-            aba = mat_mul(mat_mul(a, b), a)
-            ba2 = mat_mul(b, mat_mul(a, a))
-            resid = mat_add(mat_add(mat_sub(a2b, mat_scale(qq, aba)), ba2), b)
-        out.append((name, resid))
-    return out
+    return rep.F[j - 2] - qs * (rep.Kinv[j - 2] @ rep.E[j - 2])
 
 
 def verify_embedding(n):
@@ -225,11 +143,11 @@ def verify_embedding(n):
     rep = vector_rep_sln(n, symbolic=True)
     tildes = [tilde_I(j, rep) for j in range(2, n + 1)]
     report = []
-    for name, resid in _relation_matrices(n, tildes, qnumber(2)):
+    for name, _, resid in defining_relation_residuals(n, tildes, qnumber(2), matmul):
         report.append({
             "check": f"embed[{n}] {name}",
             "mode": "symbolic",
-            "pass": mat_is_zero(resid),
+            "pass": not resid.any(),
             "residual": None,
         })
     one = Fraction(1)
@@ -242,7 +160,7 @@ def verify_embedding(n):
                     want = one
                 elif (r, c) == (j - 2, j - 1):
                     want = -one
-                if poly_at_one(tildes[j - 2][r][c]) != want:
+                if poly_at_one(tildes[j - 2][r, c]) != want:
                     ok = False
         report.append({
             "check": f"embed[{n}] classical-limit I{j}{j - 1}",
@@ -259,8 +177,8 @@ def embedding_residuals_numeric(n, q, tol=1e-12):
     rep = vector_rep_sln(n, symbolic=False, q=q)
     tildes = [tilde_I(j, rep) for j in range(2, n + 1)]
     report = []
-    for name, resid in _relation_matrices(n, tildes, q + 1 / q):
-        worst = max(abs(x) for row in resid for x in row)
+    for name, _, resid in defining_relation_residuals(n, tildes, q + 1 / q, matmul):
+        worst = np.abs(resid).max()
         report.append({
             "check": f"embed[{n}] {name} @q={q!r}",
             "mode": "numeric",
@@ -345,14 +263,11 @@ def verify_psi(twoJ, q, tol=1e-10):
     irrep = sl2_irrep(twoJ, q)
     X, Y = psi_images(irrep)
     q = irrep.q
-    qq = q + 1 / q
-    r1 = X @ X @ Y - qq * (X @ Y @ X) + Y @ X @ X + Y
-    r2 = Y @ Y @ X - qq * (Y @ X @ Y) + X @ Y @ Y + X
     report = []
-    for name, resid in (("serre-a", r1), ("serre-b", r2)):
+    for _, kind, resid in defining_relation_residuals(3, [X, Y], q + 1 / q, matmul):
         worst = float(np.abs(resid).max()) if resid.size else 0.0
         report.append({
-            "check": f"psi twoJ={twoJ} {name}",
+            "check": f"psi twoJ={twoJ} {kind}",
             "mode": "numeric",
             "pass": bool(worst < tol),
             "residual": worst,

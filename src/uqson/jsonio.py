@@ -74,17 +74,29 @@ def rep_to_json(ops):
 
 
 def rep_from_json(data):
+    """Operators from a representation dump. Each generator's entries must lie
+    in 0 <= row, col < dim, in strictly increasing (row, col) order (the order
+    rep_to_json writes), so no index wraps and no cell is given twice."""
     from .reps import SparseOperator  # parameter files never need the operator layer
 
     try:
         dim = int(data["dim"])
         ops = []
         for gen in data["generators"]:
+            name = str(gen["name"])
             entries = tuple(
                 (int(row), int(col), complex_from_json(value))
                 for row, col, value in gen["entries"]
             )
-            ops.append(SparseOperator(name=str(gen["name"]), dim=dim, entries=entries))
+            cells = [(row, col) for row, col, _ in entries]
+            if cells != sorted(set(cells)) or not all(
+                0 <= row < dim and 0 <= col < dim for row, col in cells
+            ):
+                raise ValueError(
+                    f"malformed representation file: {name} entries must lie in "
+                    f"0..{dim - 1}, in strictly increasing (row, col) order"
+                )
+            ops.append(SparseOperator(name=name, dim=dim, entries=entries))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed representation file: {exc}") from exc
     return ops

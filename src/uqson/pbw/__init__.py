@@ -15,7 +15,8 @@ _EXPORTS = {
     "fuzz": ("associativity_fuzz", "random_monomial"),
     "printing": ("element_to_str", "generator_name"),
     "verify": ("all_pass", "commutation_relation_instances", "defining_relation_instances",
-               "verify_commutation_relations", "verify_defining_relations"),
+               "defining_relation_residuals", "verify_commutation_relations",
+               "verify_defining_relations"),
 }
 _LAZY = {name: source for source, names in _EXPORTS.items() for name in names}
 

@@ -10,8 +10,10 @@ involved.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import matmul
 
 from ._rules import check_rank, classify_pair, gen_pairs, rule_table
+from .verify import defining_relation_residuals
 
 
 def classical_generator(n, k, l):
@@ -66,26 +68,7 @@ def verify_classical_limit(n):
         report.append({"relation": name, "exact_zero": bool(np.array_equal(lhs, acc))})
 
     # Defining relations on the neighbor matrices directly.
-    for i in range(2, n):
-        a = mats[pairs.index((i, i - 1))]
-        b = mats[pairs.index((i + 1, i))]
-        lhs1 = a @ a @ b - 2 * (a @ b @ a) + b @ a @ a + b
-        lhs2 = b @ b @ a - 2 * (b @ a @ b) + a @ b @ b + a
-        report.append({
-            "relation": f"classical serre-a[{i}]",
-            "exact_zero": bool(not lhs1.any()),
-        })
-        report.append({
-            "relation": f"classical serre-b[{i}]",
-            "exact_zero": bool(not lhs2.any()),
-        })
-    for i in range(2, n + 1):
-        for j in range(i + 2, n + 1):
-            a = mats[pairs.index((i, i - 1))]
-            b = mats[pairs.index((j, j - 1))]
-            comm = a @ b - b @ a
-            report.append({
-                "relation": f"classical commute[{i},{j}]",
-                "exact_zero": bool(not comm.any()),
-            })
+    gens = [mats[pairs.index((i, i - 1))] for i in range(2, n + 1)]
+    for name, _, resid in defining_relation_residuals(n, gens, 2, matmul):
+        report.append({"relation": f"classical {name}", "exact_zero": not resid.any()})
     return report

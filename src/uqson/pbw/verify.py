@@ -7,6 +7,7 @@ instance so failures identify the offending indices.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 
 from ..coeffring import LaurentPoly, qnumber
@@ -32,25 +33,34 @@ def defining_relation_instances(n):
     return out
 
 
-def verify_defining_relations(n, variant=PLUS):
-    """Reduce each defining relation to normal form; report exact-zero flags."""
-    q2 = qnumber(2)
-    report = []
+def defining_relation_residuals(n, gens, qq, mul):
+    """(name, kind, residual) for every defining relation of rank n.
+
+    gens[i-2] is the image of I[i,i-1], qq the image of [2], and mul the
+    product of two images (operator.mul for algebra elements,
+    operator.matmul for matrices). A serre residual is
+    a*a*b - [2]*a*b*a + b*a*a + b with (a, b) = (I[i,i-1], I[i+1,i]) for
+    serre-a and the pair swapped for serre-b; a commute residual is
+    a*b - b*a. Residuals are made one at a time, as they are consumed.
+    """
     for name, kind, idx in defining_relation_instances(n):
         if kind == "commute":
-            i, j = idx
-            a = AlgebraElement.generator(n, i, i - 1, variant)
-            b = AlgebraElement.generator(n, j, j - 1, variant)
-            resid = a * b - b * a
+            a, b = (gens[i - 2] for i in idx)
+            yield name, kind, mul(a, b) - mul(b, a)
         else:
-            (i,) = idx
-            a = AlgebraElement.generator(n, i, i - 1, variant)
-            b = AlgebraElement.generator(n, i + 1, i, variant)
+            a, b = gens[idx[0] - 2], gens[idx[0] - 1]
             if kind == "serre-b":
                 a, b = b, a
-            resid = a * a * b - q2 * (a * b * a) + b * a * a + b
-        report.append({"relation": name, "exact_zero": resid.is_zero()})
-    return report
+            yield name, kind, mul(mul(a, a), b) - qq * mul(mul(a, b), a) + mul(mul(b, a), a) + b
+
+
+def verify_defining_relations(n, variant=PLUS):
+    """Reduce each defining relation to normal form; report exact-zero flags."""
+    gens = [AlgebraElement.generator(n, i, i - 1, variant) for i in range(2, n + 1)]
+    return [
+        {"relation": name, "exact_zero": resid.is_zero()}
+        for name, _, resid in defining_relation_residuals(n, gens, qnumber(2), operator.mul)
+    ]
 
 
 def commutation_relation_instances(n):

@@ -17,6 +17,7 @@ import cmath
 import struct
 from dataclasses import dataclass
 from itertools import product
+from operator import matmul
 
 from .coeffring import qbracket_numeric, qpow_complex
 from .errors import DegenerateParameter, DimensionMismatch
@@ -54,7 +55,8 @@ _KEY = struct.Struct("<cdd").pack
 def _bracket(root, memo, x, label=None):
     """The q-bracket [x], computed once per build and kept in `memo`. With a
     label, [x] is a denominator factor and a vanishing value raises
-    DegenerateParameter naming it, on every call, a memo hit included.
+    DegenerateParameter naming it, on every call, a memo hit included. The
+    label is (str.format template, *fields), formatted only when raising.
 
     The key is the bits of x, not its value: 0j == -0j, yet cmath.sqrt(-1+0j)
     and cmath.sqrt(-1-0j) fall on opposite branches, and [-0+0j] = 0j while
@@ -68,7 +70,8 @@ def _bracket(root, memo, x, label=None):
     except KeyError:
         v = memo[key] = qbracket_numeric(x, root)
     if label is not None and abs(v) < _ZERO_TOL:
-        raise DegenerateParameter(f"vanishing denominator bracket [{label}] = [{x}]")
+        name = label[0].format(*label[1:])
+        raise DegenerateParameter(f"vanishing denominator bracket [{name}] = [{x}]")
     return v
 
 
@@ -80,7 +83,8 @@ def _qpow_sum(root, memo, x, label):
     except KeyError:
         v = memo[key] = qpow_complex(x, root) + qpow_complex(-x, root)
     if abs(v) < _ZERO_TOL:
-        raise DegenerateParameter(f"vanishing denominator q^l+q^-l at {label} = {x}")
+        name = label[0].format(*label[1:])
+        raise DegenerateParameter(f"vanishing denominator q^l+q^-l at {name} = {x}")
     return v
 
 
@@ -122,14 +126,14 @@ def shift_coeff(root, memo, s, j, upper, row, lower):
     for i, li in enumerate(row, 1):
         if i == j:
             continue
-        den *= sqrt_bracket(li + lj, f"l_{i},{s}+l_{j},{s}")
-        den *= sqrt_bracket(li + lj + pm, f"l_{i},{s}+l_{j},{s}{pm:+d}")
+        den *= sqrt_bracket(li + lj, ("l_{},{}+l_{},{}", i, s, j, s))
+        den *= sqrt_bracket(li + lj + pm, ("l_{},{}+l_{},{}{:+d}", i, s, j, s, pm))
         if i < j:
-            den *= sqrt_bracket(li - lj, f"l_{i},{s}-l_{j},{s}")
-            den *= sqrt_bracket(li - lj - 1, f"l_{i},{s}-l_{j},{s}-1")
+            den *= sqrt_bracket(li - lj, ("l_{},{}-l_{},{}", i, s, j, s))
+            den *= sqrt_bracket(li - lj - 1, ("l_{},{}-l_{},{}-1", i, s, j, s))
         else:
-            den *= 1j * sqrt_bracket(lj - li, f"l_{j},{s}-l_{i},{s}")
-            den *= 1j * sqrt_bracket(lj - li + 1, f"l_{j},{s}-l_{i},{s}+1")
+            den *= 1j * sqrt_bracket(lj - li, ("l_{},{}-l_{},{}", j, s, i, s))
+            den *= 1j * sqrt_bracket(lj - li + 1, ("l_{},{}-l_{},{}+1", j, s, i, s))
     return num / den
 
 
@@ -145,8 +149,8 @@ def diagonal_coeff(root, memo, s, upper, row, lower):
         num *= _bracket(root, memo, li)
     den = 1 + 0j
     for i, li in enumerate(row, 1):
-        den *= _bracket(root, memo, li, f"l_{i},{s}")
-        den *= _bracket(root, memo, li - 1, f"l_{i},{s}-1")
+        den *= _bracket(root, memo, li, ("l_{},{}", i, s))
+        den *= _bracket(root, memo, li - 1, ("l_{},{}-1", i, s))
     return num / den
 
 
@@ -236,11 +240,11 @@ def _shift_operator(omega, table, memo, s):
         for j, pos in enumerate(rows.get(s, ()), 1):
             lj = row[j - 1]
             if s % 2 == 0:
-                den_up = den_down = _qpow_sum(root, memo, lj, f"l_{j},{s}")
+                den_up = den_down = _qpow_sum(root, memo, lj, ("l_{},{}", j, s))
             else:
-                shared = _bracket(root, memo, 2 * lj - 1, f"2l_{j},{s}-1")
-                den_up = shared * _bracket(root, memo, lj, f"l_{j},{s}")
-                den_down = shared * _bracket(root, memo, lj - 1, f"l_{j},{s}-1")
+                shared = _bracket(root, memo, 2 * lj - 1, ("2l_{},{}-1", j, s))
+                den_up = shared * _bracket(root, memo, lj, ("l_{},{}", j, s))
+                den_down = shared * _bracket(root, memo, lj - 1, ("l_{},{}-1", j, s))
             cj = omega.c[(j, s)]
             off, step = offs[pos], strides[pos]
             add(col + ((off + 1) % k - off) * step, col,
@@ -282,27 +286,16 @@ def relation_residual(ops, root):
     """Max-entry residual of every defining relation on the given operators."""
     import numpy as np
 
-    from .pbw.verify import defining_relation_instances
+    from .pbw.verify import defining_relation_residuals
 
     n = len(ops) + 1
     _common_dim(ops)
     dense = [op.to_dense() for op in ops]
     q = root.value()
-    qq = q + 1 / q
-    report = []
-    for name, kind, idx in defining_relation_instances(n):
-        if kind == "commute":
-            i, j = idx
-            a, b = dense[i - 2], dense[j - 2]
-            resid = a @ b - b @ a
-        else:
-            (i,) = idx
-            a, b = dense[i - 2], dense[i - 1]
-            if kind == "serre-b":
-                a, b = b, a
-            resid = a @ a @ b - qq * (a @ b @ a) + b @ a @ a + b
-        report.append({"relation": name, "residual": float(np.abs(resid).max())})
-    return report
+    return [
+        {"relation": name, "residual": float(np.abs(resid).max())}
+        for name, _, resid in defining_relation_residuals(n, dense, q + 1 / q, matmul)
+    ]
 
 
 # Spectral certificate thresholds, set from the margins measured on 152

@@ -216,6 +216,33 @@ def test_exit_5_on_missing_or_malformed_files(capsys, tmp_path):
     assert code == 5
 
 
+def write_rep(path, entries):
+    """A 2-dim representation file whose I21 has the given (row, col) entries."""
+    one = {"re": 1.0, "im": 0.0}
+    gens = [
+        {"name": "I21", "entries": [[r, c, one] for r, c in entries]},
+        {"name": "I32", "entries": [[0, 0, one], [1, 1, one]]},
+    ]
+    path.write_text(json.dumps({"dim": 2, "generators": gens}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[(0, 1), (2, 0)], [(-1, 0), (0, 1)], [(0, 1), (0, 1)], [(1, 0), (0, 1)]],
+    ids=["out-of-range", "negative", "duplicate", "unsorted"],
+)
+def test_exit_5_on_malformed_entry_indices(capsys, tmp_path, entries):
+    # a negative index would wrap to the last row, and a repeated cell would be
+    # kept once by to_dense but summed by to_csr: the file is refused instead
+    rep = write_rep(tmp_path / "rep.json", entries)
+    for argv in (["rep-verify", "--rep", str(rep), "--q-order", "3"],
+                 ["rep-commutant", "--rep", str(rep)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (5, "")
+        assert "malformed representation file: I21 entries" in err
+
+
 # -- separate processes ------------------------------------------------------------
 
 

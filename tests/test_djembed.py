@@ -14,6 +14,8 @@ import random
 import numpy as np
 import pytest
 
+from uqson import djembed
+from uqson.coeffring import LaurentPoly
 from uqson.djembed import (
     embedding_residuals_numeric,
     psi_images,
@@ -26,6 +28,8 @@ from uqson.djembed import (
     verify_psi,
 )
 from uqson.errors import DegenerateQ, IndexOutOfRange
+
+from test_pbw import relations_with_generator
 
 
 # -- vector representation and tilde images -----------------------------------
@@ -60,6 +64,27 @@ def test_embedding_verifies_symbolically(n, checks):
     assert f"embed[{n}] serre-a[2]" in names
     assert f"embed[{n}] classical-limit I21" in names
     assert all(e["mode"] == "symbolic" for e in report)
+
+
+@pytest.mark.parametrize("n,j,cell", [
+    (4, 2, (3, 0)), (4, 3, (2, 3)), (4, 4, (3, 0)),
+    (5, 2, (3, 0)), (5, 3, (2, 3)), (5, 4, (1, 2)), (5, 5, (1, 4)),
+])
+def test_embedding_flags_exactly_the_relations_of_a_wrong_tilde(monkeypatch, n, j, cell):
+    # one entry of one tilde image off by 1: exactly the relations holding
+    # I[j,j-1] and its classical limit must fail, through the object-array
+    # residuals' .any()
+    def perturbed(jj, rep):
+        t = tilde_I(jj, rep)
+        if jj == j:
+            t = t.copy()
+            t[cell] = t[cell] + LaurentPoly.one()
+        return t
+
+    monkeypatch.setattr(djembed, "tilde_I", perturbed)
+    failed = [e["check"] for e in verify_embedding(n) if not e["pass"]]
+    expected = [f"embed[{n}] {name}" for name in relations_with_generator(n, j)]
+    assert failed == expected + [f"embed[{n}] classical-limit I{j}{j - 1}"]
 
 
 def test_embedding_specializes_numerically():

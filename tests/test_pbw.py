@@ -8,6 +8,7 @@ suites assert exact zero in the coefficient ring, no tolerances anywhere.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -28,7 +29,11 @@ from uqson.pbw import (
 from uqson.pbw._rules import classify_pair, gen_pairs, rule_table
 from uqson.pbw.classical import verify_classical_limit
 from uqson.pbw.fuzz import associativity_fuzz, random_monomial
-from uqson.pbw.verify import all_pass
+from uqson.pbw.verify import (
+    all_pass,
+    defining_relation_instances,
+    defining_relation_residuals,
+)
 
 
 def gen(n, k, l, variant=PLUS):
@@ -177,6 +182,46 @@ def test_serre_relation_spelled_out():
     a, b = gen(3, 2, 1), gen(3, 3, 2)
     lhs = a * a * b - qnumber(2) * (a * b * a) + b * a * a
     assert lhs == -b
+
+
+def relations_with_generator(n, w):
+    """Names of the defining relations of rank n that contain I[w,w-1]: the
+    serre pair at i holds I[i,i-1] and I[i+1,i], commute[i,j] I[i,i-1] and
+    I[j,j-1]."""
+    return [
+        name
+        for name, kind, idx in defining_relation_instances(n)
+        if w in (idx if kind == "commute" else (idx[0], idx[0] + 1))
+    ]
+
+
+@pytest.mark.parametrize("n,w", [(n, w) for n in (4, 5) for w in range(2, n + 1)])
+def test_residuals_flag_exactly_the_relations_of_a_wrong_image(n, w):
+    # I[w,w-1] + 1 + (sum of the images) commutes with no generator and breaks
+    # every Serre pair it enters; the other images stay right
+    gens = [gen(n, i, i - 1) for i in range(2, n + 1)]
+    gens[w - 2] = gens[w - 2] + AlgebraElement.from_word(n, []) + sum(gens[1:], gens[0])
+    nonzero = [
+        name
+        for name, _, resid in defining_relation_residuals(n, gens, qnumber(2), operator.mul)
+        if not resid.is_zero()
+    ]
+    assert nonzero == relations_with_generator(n, w)
+
+
+@pytest.mark.parametrize("n,w", [(n, w) for n in (4, 5) for w in range(2, n + 1)])
+def test_residuals_flag_where_a_rescaled_image_is_squared(n, w):
+    # a serre residual is linear in b and quadratic in a, so 2*I[w,w-1] breaks
+    # only serre-b[w-1] and serre-a[w], where it is the squared a
+    gens = [gen(n, i, i - 1) for i in range(2, n + 1)]
+    gens[w - 2] = 2 * gens[w - 2]
+    nonzero = [
+        name
+        for name, _, resid in defining_relation_residuals(n, gens, qnumber(2), operator.mul)
+        if not resid.is_zero()
+    ]
+    names = [name for name, _, _ in defining_relation_instances(n)]
+    assert nonzero == [name for name in names if name in (f"serre-b[{w - 1}]", f"serre-a[{w}]")]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
