@@ -30,7 +30,6 @@ from .errors import (
     ParameterSamplingError,
     RankMismatch,
     SingularDenominator,
-    TopRowShift,
     VariantMismatch,
     ZeroBase,
 )
@@ -55,7 +54,6 @@ _MISUSE = (
     RankMismatch,
     VariantMismatch,
     IndexOutOfRange,
-    TopRowShift,
     DimensionMismatch,
 )
 
@@ -180,11 +178,12 @@ def cmd_rep_commutant(args):
 
 def cmd_embed_verify(args):
     from . import djembed, jsonio
+    from .pbw.verify import all_pass
 
     report = djembed.verify_embedding(args.n)
     for entry in report:
         print(f"{entry['check']}: {'pass' if entry['pass'] else 'FAIL'}")
-    ok = djembed.report_all_pass(report)
+    ok = all_pass(report)
     if args.out:
         jsonio.dump_json(report, args.out)
     print(f"embed-verify n={args.n}: {'PASS' if ok else 'FAIL'} ({len(report)} checks)")
@@ -193,6 +192,7 @@ def cmd_embed_verify(args):
 
 def cmd_psi_verify(args):
     from . import djembed, jsonio
+    from .pbw.verify import all_pass
 
     rng = random.Random(args.seed)
     report = []
@@ -206,7 +206,7 @@ def cmd_psi_verify(args):
             f"{entry['check']}: residual: {entry['residual']:.3e} "
             f"{'pass' if entry['pass'] else 'FAIL'}"
         )
-    ok = djembed.report_all_pass(report)
+    ok = all_pass(report)
     if args.out:
         jsonio.dump_json(report, args.out)
     print(

@@ -319,11 +319,6 @@ def qnumber(a):
     return LaurentPoly(_raw={2 * (n - 1 - 2 * i): sign for i in range(n)})
 
 
-def evaluate(poly, q):
-    """Module-level alias: evaluate a LaurentPoly at complex q."""
-    return poly.evaluate(q)
-
-
 @dataclass(frozen=True)
 class RootOfUnity:
     """A primitive root of unity q = exp(2*pi*i * t / order), gcd(t, order) = 1.

@@ -18,12 +18,8 @@ import numpy as np
 
 from .coeffring import LaurentPoly, qnumber
 from .errors import DegenerateQ, IndexOutOfRange, SingularDenominator
+from .pbw.classical import classical_generator
 from .pbw.verify import defining_relation_residuals
-
-
-def poly_at_one(poly):
-    """Exact rational value of a Laurent polynomial at q = 1."""
-    return sum((Fraction(c) for _, c in poly.items2()), Fraction(0))
 
 
 # -- vector representation of the standard quantum algebra --------------------
@@ -31,12 +27,10 @@ def poly_at_one(poly):
 
 @dataclass
 class SlnRepMatrices:
-    """Vector-representation matrices as numpy arrays: dtype object holding
-    LaurentPoly entries when symbolic, complex128 at a numeric q."""
+    """Vector-representation matrices as numpy arrays of dtype object holding
+    exact LaurentPoly entries."""
 
     n: int
-    symbolic: bool
-    q: object
     E: list
     F: list
     K: list
@@ -46,25 +40,12 @@ class SlnRepMatrices:
 def _self_check_sln(rep):
     """Constructor check of the quantum-algebra relations, denominator-free."""
     n = rep.n
-    if rep.symbolic:
-        qq = qnumber(2)
-        qdiff = LaurentPoly.q(1) - LaurentPoly.q(-1)
-        qpow = LaurentPoly.q
+    qq = qnumber(2)
+    qdiff = LaurentPoly.q(1) - LaurentPoly.q(-1)
+    qpow = LaurentPoly.q
 
-        def is_zero(m):
-            return not m.any()
-    else:
-        q = rep.q
-        qq = q + 1 / q
-        qdiff = q - 1 / q
-        qpow = lambda e: q ** e
-        scale = max(abs(q), abs(1 / q), 1.0) ** 3
-
-        def is_zero(m):
-            return np.abs(m).max() < 1e-12 * scale
-
-    def check(flag, what):
-        if not flag:
+    def check(residual, what):
+        if residual.any():
             raise AssertionError(f"vector representation self-check failed: {what}")
 
     cartan = {0: 2, 1: -1}
@@ -72,42 +53,33 @@ def _self_check_sln(rep):
         for j in range(n - 1):
             a = cartan.get(abs(i - j), 0)
             lhs = rep.K[i] @ rep.E[j] @ rep.Kinv[i]
-            check(is_zero(lhs - qpow(a) * rep.E[j]), f"KEK i={i} j={j}")
+            check(lhs - qpow(a) * rep.E[j], f"KEK i={i} j={j}")
             lhs = rep.K[i] @ rep.F[j] @ rep.Kinv[i]
-            check(is_zero(lhs - qpow(-a) * rep.F[j]), f"KFK i={i} j={j}")
+            check(lhs - qpow(-a) * rep.F[j], f"KFK i={i} j={j}")
             lhs = qdiff * (rep.E[i] @ rep.F[j] - rep.F[j] @ rep.E[i])
             if i == j:
                 lhs = lhs - (rep.K[i] - rep.Kinv[i])
-            check(is_zero(lhs), f"EF i={i} j={j}")
+            check(lhs, f"EF i={i} j={j}")
             if abs(i - j) == 1:
                 for fam in (rep.E, rep.F):
                     a2b = fam[i] @ fam[i] @ fam[j]
                     aba = fam[i] @ fam[j] @ fam[i]
                     ba2 = fam[j] @ (fam[i] @ fam[i])
-                    check(is_zero(a2b - qq * aba + ba2), f"serre i={i} j={j}")
+                    check(a2b - qq * aba + ba2, f"serre i={i} j={j}")
             elif i != j:
                 for tag, fam in (("EE", rep.E), ("FF", rep.F)):
-                    comm = fam[i] @ fam[j] - fam[j] @ fam[i]
-                    check(is_zero(comm), f"{tag} i={i} j={j}")
+                    check(fam[i] @ fam[j] - fam[j] @ fam[i], f"{tag} i={i} j={j}")
 
 
-def vector_rep_sln(n, symbolic=True, q=None):
+def vector_rep_sln(n):
     """Standard vector representation; E_i, F_i elementary, K_i diagonal."""
     if n < 2:
         raise IndexOutOfRange(f"need n >= 2, got {n}")
-    if symbolic:
-        q = None
-        zero, one = LaurentPoly.zero(), LaurentPoly.one()
-        qp, qm = LaurentPoly.q(1), LaurentPoly.q(-1)
-        dtype = object
-    else:
-        if q is None or q == 0:
-            raise DegenerateQ("numeric mode needs a nonzero q")
-        zero, one, qp, qm = 0, 1, q, 1 / q
-        dtype = np.complex128
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    qp, qm = LaurentPoly.q(1), LaurentPoly.q(-1)
 
     def matrix(*cells):
-        m = np.full((n, n), zero, dtype=dtype)
+        m = np.full((n, n), zero, dtype=object)
         for r, c, value in cells:
             m[r, c] = value
         return m
@@ -117,8 +89,6 @@ def vector_rep_sln(n, symbolic=True, q=None):
 
     rep = SlnRepMatrices(
         n=n,
-        symbolic=symbolic,
-        q=q,
         E=[matrix((i, i + 1, one)) for i in range(n - 1)],
         F=[matrix((i + 1, i, one)) for i in range(n - 1)],
         K=[diagonal(i, qp, qm) for i in range(n - 1)],
@@ -132,60 +102,32 @@ def tilde_I(j, rep):
     """The element F_{j-1} - q * q^{-H_{j-1}} * E_{j-1} in the representation."""
     if not (2 <= j <= rep.n):
         raise IndexOutOfRange(f"tilde index {j} outside 2..{rep.n}")
-    qs = LaurentPoly.q(1) if rep.symbolic else rep.q
-    return rep.F[j - 2] - qs * (rep.Kinv[j - 2] @ rep.E[j - 2])
+    return rep.F[j - 2] - LaurentPoly.q(1) * (rep.Kinv[j - 2] @ rep.E[j - 2])
+
+
+def poly_at_one(poly):
+    """Exact rational value of a Laurent polynomial at q = 1."""
+    return sum((Fraction(c) for _, c in poly.items2()), Fraction(0))
 
 
 def verify_embedding(n):
     """Exact symbolic check of every defining relation on the tilde images,
     plus the q=1 specialization against the classical antisymmetric
     generators. Returns report entries with mode 'symbolic'."""
-    rep = vector_rep_sln(n, symbolic=True)
+    rep = vector_rep_sln(n)
     tildes = [tilde_I(j, rep) for j in range(2, n + 1)]
-    report = []
-    for name, _, resid in defining_relation_residuals(n, tildes, qnumber(2), matmul):
-        report.append({
-            "check": f"embed[{n}] {name}",
-            "mode": "symbolic",
-            "pass": not resid.any(),
-            "residual": None,
-        })
-    one = Fraction(1)
-    for j in range(2, n + 1):
-        ok = True
-        for r in range(n):
-            for c in range(n):
-                want = Fraction(0)
-                if (r, c) == (j - 1, j - 2):
-                    want = one
-                elif (r, c) == (j - 2, j - 1):
-                    want = -one
-                if poly_at_one(tildes[j - 2][r, c]) != want:
-                    ok = False
-        report.append({
-            "check": f"embed[{n}] classical-limit I{j}{j - 1}",
-            "mode": "symbolic",
-            "pass": ok,
-            "residual": None,
-        })
-    return report
-
-
-def embedding_residuals_numeric(n, q, tol=1e-12):
-    """Numeric rerun of the embedding check at a concrete q; used to confirm
-    the symbolic result specializes coherently."""
-    rep = vector_rep_sln(n, symbolic=False, q=q)
-    tildes = [tilde_I(j, rep) for j in range(2, n + 1)]
-    report = []
-    for name, _, resid in defining_relation_residuals(n, tildes, q + 1 / q, matmul):
-        worst = np.abs(resid).max()
-        report.append({
-            "check": f"embed[{n}] {name} @q={q!r}",
-            "mode": "numeric",
-            "pass": bool(worst < tol),
-            "residual": float(worst),
-        })
-    return report
+    checks = [
+        (name, not resid.any())
+        for name, _, resid in defining_relation_residuals(n, tildes, qnumber(2), matmul)
+    ]
+    for j, tilde in enumerate(tildes, start=2):
+        at_one = [[poly_at_one(entry) for entry in row] for row in tilde]
+        classical = classical_generator(n, j, j - 1).tolist()
+        checks.append((f"classical-limit I{j}{j - 1}", at_one == classical))
+    return [
+        {"check": f"embed[{n}] {name}", "mode": "symbolic", "pass": ok, "residual": None}
+        for name, ok in checks
+    ]
 
 
 # -- weight-basis irreps and the rank-3 composition ---------------------------
@@ -273,10 +215,6 @@ def verify_psi(twoJ, q, tol=1e-10):
             "residual": worst,
         })
     return report
-
-
-def report_all_pass(report):
-    return all(entry["pass"] for entry in report)
 
 
 def sample_generic_q(rng, on_circle, min_order=12):

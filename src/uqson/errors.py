@@ -34,10 +34,6 @@ class IndexOutOfRange(UqsonError, IndexError):
     """A generator or tableau index lies outside the valid range."""
 
 
-class TopRowShift(UqsonError, ValueError):
-    """Attempted to shift an entry of the fixed top row of a tableau."""
-
-
 class DimensionMismatch(UqsonError, ValueError):
     """Matrix operands of incompatible dimensions."""
 

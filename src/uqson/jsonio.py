@@ -41,14 +41,28 @@ def params_to_json(omega):
     }
 
 
+def _integer(value, what):
+    """A JSON integer as is; a float, bool or string is refused, not truncated
+    (the loaders turn the TypeError into a malformed-file ValueError)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def params_from_json(data):
+    def slots(table):
+        return {
+            (_integer(e["i"], "i"), _integer(e["j"], "j")): complex_from_json(e["value"])
+            for e in table
+        }
+
     try:
-        n = int(data["n"])
-        order = int(data["orderK"])
-        t = int(data.get("t", 1))
+        n = _integer(data["n"], "n")
+        order = _integer(data["orderK"], "orderK")
+        t = _integer(data.get("t", 1), "t")
         m_top = tuple(complex_from_json(z) for z in data["mTop"])
-        h = {(int(e["i"]), int(e["j"])): complex_from_json(e["value"]) for e in data["h"]}
-        c = {(int(e["i"]), int(e["j"])): complex_from_json(e["value"]) for e in data["c"]}
+        h = slots(data["h"])
+        c = slots(data["c"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed parameter file: {exc}") from exc
     return ParamsOmega(n=n, root=RootOfUnity(order, t), m_top=m_top, h=h, c=c)
@@ -74,26 +88,27 @@ def rep_to_json(ops):
 
 
 def rep_from_json(data):
-    """Operators from a representation dump. Each generator's entries must lie
-    in 0 <= row, col < dim, in strictly increasing (row, col) order (the order
-    rep_to_json writes), so no index wraps and no cell is given twice."""
+    """Operators from a representation dump. The dimension and each entry's
+    row and col must be JSON integers, with 0 <= row, col < dim, in strictly
+    increasing (row, col) order (the order rep_to_json writes), so no index
+    is truncated or wraps and no cell is given twice."""
     from .reps import SparseOperator  # parameter files never need the operator layer
 
     try:
-        dim = int(data["dim"])
+        dim = _integer(data["dim"], "dim")
         ops = []
         for gen in data["generators"]:
             name = str(gen["name"])
             entries = tuple(
-                (int(row), int(col), complex_from_json(value))
-                for row, col, value in gen["entries"]
+                (row, col, complex_from_json(value)) for row, col, value in gen["entries"]
             )
             cells = [(row, col) for row, col, _ in entries]
-            if cells != sorted(set(cells)) or not all(
-                0 <= row < dim and 0 <= col < dim for row, col in cells
-            ):
+            if not all(
+                type(row) is int and type(col) is int and 0 <= row < dim and 0 <= col < dim
+                for row, col in cells
+            ) or cells != sorted(set(cells)):
                 raise ValueError(
-                    f"malformed representation file: {name} entries must lie in "
+                    f"malformed representation file: {name} entries must be integers in "
                     f"0..{dim - 1}, in strictly increasing (row, col) order"
                 )
             ops.append(SparseOperator(name=name, dim=dim, entries=entries))

@@ -12,8 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from uqson.errors import IndexOutOfRange, TopRowShift
+from uqson.errors import IndexOutOfRange, UqsonError
 from uqson.params import variable_slots
+
+
+class TopRowShift(UqsonError, ValueError):
+    """Attempted to shift an entry of the fixed top row of a tableau."""
 
 
 @dataclass(frozen=True)

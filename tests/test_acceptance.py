@@ -17,12 +17,7 @@ import time
 from conftest import record_acceptance
 
 from uqson.coeffring import qnumber
-from uqson.djembed import (
-    report_all_pass,
-    sample_generic_q,
-    verify_embedding,
-    verify_psi,
-)
+from uqson.djembed import sample_generic_q, verify_embedding, verify_psi
 from uqson.errors import DegenerateDenominator
 from uqson.pbw import MINUS, PLUS
 from uqson.pbw.classical import verify_classical_limit
@@ -263,7 +258,7 @@ def test_c09_vanishing_diagonal_when_l_is_zero():
 
 def test_c10_embedding_exact_with_classical_limit():
     t0 = time.monotonic()
-    ok = all(report_all_pass(verify_embedding(n)) for n in (3, 4, 5))
+    ok = all(all_pass(verify_embedding(n)) for n in (3, 4, 5))
     elapsed = time.monotonic() - t0
     verdict = ok and elapsed < 30.0
     record_acceptance(
@@ -282,7 +277,7 @@ def test_c11_psi_residuals():
         for i in range(10):
             q = sample_generic_q(rng, on_circle=(i % 2 == 0))
             report = verify_psi(twoJ, q, tol=1e-10)
-            ok = ok and report_all_pass(report)
+            ok = ok and all_pass(report)
             worst = max(worst, max(e["residual"] for e in report))
     elapsed = time.monotonic() - t0
     verdict = ok and elapsed < 10.0

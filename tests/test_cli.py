@@ -243,6 +243,44 @@ def test_exit_5_on_malformed_entry_indices(capsys, tmp_path, entries):
         assert "malformed representation file: I21 entries" in err
 
 
+NOT_INTEGERS = pytest.mark.parametrize("value", [0.9, True, "1"], ids=["float", "bool", "string"])
+
+
+@NOT_INTEGERS
+@pytest.mark.parametrize("field", ["dim", "row", "col"])
+def test_exit_5_on_non_integer_rep_indices(capsys, tmp_path, field, value):
+    # int() would read 0.9 as 0 and true or "1" as 1, i.e. a different matrix
+    rep = write_rep(tmp_path / "rep.json", [(0, 1), (1, 0)])
+    data = json.loads(rep.read_text())
+    if field == "dim":
+        data["dim"] = value
+    else:
+        data["generators"][0]["entries"][1][field == "col"] = value
+    rep.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rep-commutant", "--rep", str(rep))
+    assert (code, out) == (5, "")
+    assert "malformed representation file" in err
+
+
+@NOT_INTEGERS
+@pytest.mark.parametrize("field", ["n", "orderK", "t", "i", "j"])
+def test_exit_5_on_non_integer_params_indices(capsys, tmp_path, field, value):
+    params = tmp_path / "omega.json"
+    run(capsys, "params-sample", "--n", "3", "--order", "3", "--seed", "2",
+        "--out", str(params))
+    data = json.loads(params.read_text())
+    if field in ("i", "j"):
+        data["h"][0][field] = value
+    else:
+        data[field] = value
+    params.write_text(json.dumps(data))
+    rep = tmp_path / "rep.json"
+    code, out, err = run(capsys, "rep-build", "--params", str(params), "--out", str(rep))
+    assert (code, out) == (5, "")
+    assert f"malformed parameter file: {field}" in err
+    assert not rep.exists()
+
+
 # -- separate processes ------------------------------------------------------------
 
 

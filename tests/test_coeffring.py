@@ -18,7 +18,6 @@ from uqson.coeffring import (
     HALF,
     LaurentPoly,
     RootOfUnity,
-    evaluate,
     qbracket_numeric,
     qnumber,
     qpow_complex,
@@ -104,7 +103,6 @@ def test_evaluate_matches_direct_cmath():
         s = cmath.sqrt(q)
         expected = s + Fraction(3, 4) * q**-2 - 1
         assert abs(p.evaluate(q) - expected) < 1e-12
-        assert abs(evaluate(p, q) - expected) < 1e-12
 
 
 def test_evaluate_rejects_zero_and_nonfinite():

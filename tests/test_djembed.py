@@ -17,9 +17,7 @@ import pytest
 from uqson import djembed
 from uqson.coeffring import LaurentPoly
 from uqson.djembed import (
-    embedding_residuals_numeric,
     psi_images,
-    report_all_pass,
     sample_generic_q,
     sl2_irrep,
     tilde_I,
@@ -28,6 +26,7 @@ from uqson.djembed import (
     verify_psi,
 )
 from uqson.errors import DegenerateQ, IndexOutOfRange
+from uqson.pbw.verify import all_pass
 
 from test_pbw import relations_with_generator
 
@@ -59,7 +58,7 @@ def test_tilde_matrix_is_antisymmetric_unit_pair():
 def test_embedding_verifies_symbolically(n, checks):
     report = verify_embedding(n)
     assert len(report) == checks
-    assert report_all_pass(report)
+    assert all_pass(report)
     names = [e["check"] for e in report]
     assert f"embed[{n}] serre-a[2]" in names
     assert f"embed[{n}] classical-limit I21" in names
@@ -85,15 +84,6 @@ def test_embedding_flags_exactly_the_relations_of_a_wrong_tilde(monkeypatch, n, 
     failed = [e["check"] for e in verify_embedding(n) if not e["pass"]]
     expected = [f"embed[{n}] {name}" for name in relations_with_generator(n, j)]
     assert failed == expected + [f"embed[{n}] classical-limit I{j}{j - 1}"]
-
-
-def test_embedding_specializes_numerically():
-    rng = random.Random(8)
-    for n in (3, 4):
-        q = sample_generic_q(rng, on_circle=False)
-        report = embedding_residuals_numeric(n, q)
-        assert all(e["pass"] for e in report)
-        assert max(e["residual"] for e in report) < 1e-12
 
 
 # -- weight-basis irreps -------------------------------------------------------
@@ -147,7 +137,7 @@ def test_psi_relations_close_on_every_irrep(twoJ):
     for i in range(10):
         q = sample_generic_q(rng, on_circle=(i % 2 == 0), min_order=twoJ + 1)
         report = verify_psi(twoJ, q)
-        assert report_all_pass(report), report
+        assert all_pass(report), report
         assert max(e["residual"] for e in report) < 1e-10
 
 

@@ -1,6 +1,7 @@
 """The package's public names: every exported name resolves, the lazily
-loaded ones are the objects their modules define, and the parameter layer
-that `reps` re-exports from `params` is one set of objects, not a copy.
+loaded ones are the objects their modules define, the parameter layer
+that `reps` re-exports from `params` is one set of objects, not a copy, and
+every error class in `uqson.errors` is raised somewhere in the package.
 
 Tools that patch a function wherever a uqson module holds it (the traced
 benchmark launcher does) rely on that identity.
@@ -8,12 +9,14 @@ benchmark launcher does) rely on that identity.
 
 from __future__ import annotations
 
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 
 import uqson
-from uqson import params, pbw, reps
+from uqson import errors, params, pbw, reps
 
 # names defined in uqson.params and re-exported by uqson.reps
 MOVED = (
@@ -87,3 +90,21 @@ def test_tableau_path_is_not_public():
     assert "Tableau" not in uqson.__all__
     assert not hasattr(uqson, "Tableau")
     assert not hasattr(reps, "enumerate_tableaux")
+
+
+def test_every_error_class_is_raised_in_the_package():
+    # an exception that nothing raises still costs an exit-code mapping and a
+    # docstring; the oracle-only ones live with their oracles under tests/
+    src = Path(errors.__file__).parent
+    raised = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    defined = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.UqsonError)
+    }
+    assert sorted(defined - raised - {"UqsonError"}) == []

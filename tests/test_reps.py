@@ -25,7 +25,6 @@ from uqson.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     RankMismatch,
-    TopRowShift,
 )
 from uqson.reps import (
     ParamsOmega,
@@ -47,6 +46,7 @@ from uqson.reps import (
 
 from tableau_oracle import (
     Tableau,
+    TopRowShift,
     enumerate_tableaux,
     l_value,
     m_value,
@@ -361,12 +361,15 @@ def permuted(ops, perm):
 
 def test_spectral_path_declines_on_isomorphic_direct_sum():
     # T (+) T: the generic element repeats every eigenvalue, and the
-    # eigenbasis graph would give 2 where the commutant is 2x2 matrices = 4
-    t = build_representation(random_generic_params(3, 3, 0))
-    cert = commutant_certificate(direct_sum(t, t))
-    assert cert.path == "sylvester"
-    assert cert.gap < 1e-12
-    assert cert.dimension == 4
+    # eigenbasis graph would give 2 where the commutant is 2x2 matrices = 4.
+    # At (3,21), d = 42 > 40 puts the Sylvester solve on its sparse branch;
+    # there T0 (+) T1 declines too, on its edge margin (about 40 < 1e3)
+    small = build_representation(random_generic_params(3, 3, 0))
+    t0, t1 = (build_representation(random_generic_params(3, 21, seed)) for seed in (0, 1))
+    for first, second, dimension in ((small, small, 4), (t0, t0, 4), (t0, t1, 2)):
+        cert = commutant_certificate(direct_sum(first, second))
+        assert (cert.path, cert.dimension) == ("sylvester", dimension)
+        assert (cert.gap < 1e-12) == (first is second)
 
 
 def test_spectral_path_splits_non_isomorphic_direct_sum():
