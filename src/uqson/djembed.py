@@ -18,6 +18,7 @@ import numpy as np
 
 from .coeffring import LaurentPoly, qnumber
 from .errors import DegenerateQ, IndexOutOfRange, SingularDenominator
+from .pbw._rules import check_rank
 from .pbw.classical import classical_generator
 from .pbw.verify import defining_relation_residuals
 
@@ -113,7 +114,10 @@ def poly_at_one(poly):
 def verify_embedding(n):
     """Exact symbolic check of every defining relation on the tilde images,
     plus the q=1 specialization against the classical antisymmetric
-    generators. Returns report entries with mode 'symbolic'."""
+    generators. Returns report entries with mode 'symbolic'. The rank is
+    checked first: the representation's self-check alone is O(n^2) products
+    of n x n object matrices."""
+    check_rank(n)
     rep = vector_rep_sln(n)
     tildes = [tilde_I(j, rep) for j in range(2, n + 1)]
     checks = [

@@ -284,11 +284,21 @@ def test_exit_5_on_non_integer_params_indices(capsys, tmp_path, field, value):
 # -- separate processes ------------------------------------------------------------
 
 
-def run_process(argv):
+def run_process(argv, timeout=60):
     """Run argv with the package importable from src/, as a user's shell would."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(argv, capture_output=True, text=True, timeout=60, env=env, cwd=ROOT)
+    return subprocess.run(argv, capture_output=True, text=True, timeout=timeout, env=env,
+                          cwd=ROOT)
+
+
+def test_embed_verify_refuses_a_rank_above_the_maximum_at_once():
+    # the rank is checked before the vector representation is built: building
+    # and self-checking it first ran for more than 100 s at n = 24
+    proc = run_process([sys.executable, "-m", "uqson.cli", "embed-verify", "--n", "24"],
+                       timeout=10)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "error: rank 24 exceeds the supported maximum 23\n"
 
 
 def test_module_invocation_has_clean_stderr():
@@ -370,6 +380,31 @@ def test_verb_loads_numpy_only_when_it_computes_with_it(tmp_path, verb, loads_nu
     heavy, kernel = in_process.stderr.splitlines()
     assert heavy == ("['numpy']" if loads_numpy else "[]")
     assert (kernel == "[]") == (verb in PBW_FREE), kernel
+
+
+@pytest.mark.parametrize("order, heavy", [(16, ["numpy"]), (17, ["numpy", "scipy"])],
+                         ids=["d256-dense", "d289-csr"])
+def test_rep_verify_loads_scipy_only_above_the_dense_residual_cutoff(tmp_path, order, heavy):
+    # (4,16) = 256 dims is the largest representation whose residual is taken
+    # with dense products and (4,17) = 289 the smallest one taken with CSR
+    # products, which import scipy.sparse (about 0.2 s)
+    omega, rep = tmp_path / "omega.json", tmp_path / "rep.json"
+    for setup in (["params-sample", "--n", "4", "--order", str(order), "--seed", "0",
+                   "--out", str(omega)],
+                  ["rep-build", "--params", str(omega), "--out", str(rep)]):
+        assert run_process([sys.executable, "-m", "uqson.cli", *setup]).returncode == 0
+    argv = ["rep-verify", "--rep", str(rep), "--q-order", str(order)]
+    code = (
+        "import sys\n"
+        "from uqson.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(sorted(m for m in {HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_process([sys.executable, "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith(f"rep-verify dim={order ** 2} ")
+    assert proc.stderr == f"{heavy!r}\n"
 
 
 def console_script_argv():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
+from operator import matmul
 
 import numpy as np
 import pytest
@@ -26,7 +27,9 @@ from uqson.errors import (
     IndexOutOfRange,
     RankMismatch,
 )
+from uqson.pbw.verify import defining_relation_residuals
 from uqson.reps import (
+    _DENSE_RESIDUAL_MAX_DIM,
     ParamsOmega,
     SparseOperator,
     _basis_table,
@@ -53,6 +56,7 @@ from tableau_oracle import (
     shift_tableau,
     tableau_index,
 )
+from test_pbw import relations_with_generator
 
 
 def operators_by_name(omega):
@@ -304,6 +308,70 @@ def test_relation_residuals_rank_6():
     omega = random_generic_params(6, 3, 0)
     assert omega.dimension() == 729
     assert worst_residual(omega) < 1e-7
+
+
+def test_relation_residuals_at_4096_dims():
+    # (6,4): one dense matrix would take 268 MB, so only the CSR path runs here
+    omega = random_generic_params(6, 4, 0)
+    assert omega.dimension() == 4096 > _DENSE_RESIDUAL_MAX_DIM
+    assert worst_residual(omega) < 1e-7
+
+
+def dense_residual_oracle(ops, root):
+    """(relation, max-entry residual) through dense products, the path
+    relation_residual takes up to _DENSE_RESIDUAL_MAX_DIM."""
+    q = root.value()
+    dense = [op.to_dense() for op in ops]
+    return [
+        (name, float(np.abs(resid).max()))
+        for name, _, resid in defining_relation_residuals(len(ops) + 1, dense, q + 1 / q, matmul)
+    ]
+
+
+# Both paths round differently, so their residuals, each rounding noise of
+# 1e-14 to 1e-11 here, differ by up to 2.3e-13 at (4,17) seed 0
+RESIDUAL_PATHS_ATOL = 1e-12
+
+
+def assert_residual_paths_agree(ops, root):
+    got = relation_residual(ops, root)
+    want = dense_residual_oracle(ops, root)
+    assert [e["relation"] for e in got] == [name for name, _ in want]
+    for entry, (_, value) in zip(got, want):
+        assert entry["residual"] == pytest.approx(value, rel=0, abs=RESIDUAL_PATHS_ATOL)
+    return got, want
+
+
+@pytest.mark.parametrize("n,k,dense", [(5, 4, True), (4, 17, False)],
+                         ids=["d256-dense", "d289-csr"])
+def test_residual_paths_agree_at_the_cutoff(n, k, dense):
+    omega = random_generic_params(n, k, 0)
+    got, want = assert_residual_paths_agree(build_representation(omega), omega.root)
+    if dense:
+        # the dense path is the oracle itself, so the printed digits cannot
+        # move; with CSR products serre-b[2] would read 1.721e-15, not 1.740e-15
+        assert [e["residual"] for e in got] == [value for _, value in want]
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+def test_residual_paths_flag_the_same_relations_of_a_wrong_operator(w):
+    # one entry of I[w,w-1] off by 1e-3, above the cutoff: both paths must flag
+    # the same relations, all of them relations holding I[w,w-1]. Not every
+    # such relation: I21 is diagonal, so serre-a[2] and commute[2,4] scale each
+    # entry of I32 or I43 by a function of I21's diagonal that vanishes on it,
+    # whatever the entry's value
+    omega = random_generic_params(4, 17, 0)
+    ops = build_representation(omega)
+    op = ops[w - 2]
+    i = len(op.entries) // 2
+    r, c, v = op.entries[i]
+    ops[w - 2] = SparseOperator(op.name, op.dim,
+                                op.entries[:i] + ((r, c, v + 1e-3),) + op.entries[i + 1:])
+    got, want = assert_residual_paths_agree(ops, omega.root)
+    flagged = [e["relation"] for e in got if e["residual"] > 1e-6]
+    assert flagged == [name for name, value in want if value > 1e-6]
+    assert flagged and set(flagged) <= set(relations_with_generator(4, w))
+    assert all(e["residual"] < 1e-10 for e in got if e["relation"] not in flagged)
 
 
 def test_relation_report_names():
