@@ -58,13 +58,13 @@ _MISUSE = (
 )
 
 
-def _bool_word(flag):
-    return "true" if flag else "false"
-
-
-def _print_exact_report(report):
+def _exact_verdict(args, verb, noun, report):
     for entry in report:
-        print(f"{entry['relation']}: exact-zero: {_bool_word(entry['exact_zero'])}")
+        print(f"{entry['relation']}: exact-zero: {'true' if entry['exact_zero'] else 'false'}")
+    ok = all(entry["exact_zero"] for entry in report)
+    print(f"{verb} n={args.n} variant={args.variant}: "
+          f"{'PASS' if ok else 'FAIL'} ({len(report)} {noun})")
+    return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
 def _default_rep_tol(dim):
@@ -76,26 +76,14 @@ def cmd_relations_verify(args):
     from .pbw import verify_defining_relations
 
     report = verify_defining_relations(args.n, args.variant)
-    _print_exact_report(report)
-    ok = all(entry["exact_zero"] for entry in report)
-    print(
-        f"relations-verify n={args.n} variant={args.variant}: "
-        f"{'PASS' if ok else 'FAIL'} ({len(report)} relations)"
-    )
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _exact_verdict(args, "relations-verify", "relations", report)
 
 
 def cmd_commrel_verify(args):
     from .pbw import verify_commutation_relations
 
     report = verify_commutation_relations(args.n, args.variant)
-    _print_exact_report(report)
-    ok = all(entry["exact_zero"] for entry in report)
-    print(
-        f"commrel-verify n={args.n} variant={args.variant}: "
-        f"{'PASS' if ok else 'FAIL'} ({len(report)} identities)"
-    )
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _exact_verdict(args, "commrel-verify", "identities", report)
 
 
 def cmd_pbw_reduce(args):
@@ -149,11 +137,9 @@ def cmd_rep_verify(args):
     dim = ops[0].dim if ops else 0
     tol = args.tol if args.tol is not None else _default_rep_tol(dim)
     report = reps.relation_residual(ops, root)
-    worst = 0.0
     for entry in report:
-        worst = max(worst, entry["residual"])
         print(f"{entry['relation']}: residual: {entry['residual']:.3e}")
-    ok = worst < tol
+    ok = all(entry["residual"] < tol for entry in report)  # a nan residual fails
     artifacts = list(report)
     if args.commutant:
         cdim = reps.commutant_dimension(ops)
@@ -229,6 +215,13 @@ def cmd_params_sample(args):
     return EXIT_PASS
 
 
+def _count(text):
+    """argparse type of --samples, --trials, --degree: positive, as zero checks nothing."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="uqson",
@@ -261,8 +254,8 @@ def build_parser():
 
     p = sub.add_parser("assoc-fuzz", help="randomized associativity check")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--degree", type=_count, default=4)
+    p.add_argument("--trials", type=_count, default=100)
     p.add_argument("--seed", type=int, required=True)
     add_variant(p)
     p.set_defaults(func=cmd_assoc_fuzz)
@@ -295,7 +288,7 @@ def build_parser():
     p = sub.add_parser("psi-verify", help="check the rank-3 composition on weight-basis irreps")
     p.add_argument("--twoj", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=_count, default=10)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.set_defaults(func=cmd_psi_verify)

@@ -7,6 +7,7 @@ indent, trailing newline. Complex numbers are {"re": float, "im": float}.
 from __future__ import annotations
 
 import json
+import sys
 
 from .coeffring import RootOfUnity
 from .params import ParamsOmega
@@ -20,6 +21,11 @@ def complex_to_json(z):
 def complex_from_json(obj):
     if not isinstance(obj, dict) or set(obj) != {"re", "im"}:
         raise ValueError(f"expected {{re, im}} object, got {obj!r}")
+    # float() would read true and "0.5", and json.load admits NaN, Infinity
+    # and 1e400 (inf): only finite JSON numbers pass
+    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max
+               for x in obj.values()):
+        raise TypeError(f"re and im must be finite numbers, got {obj!r}")
     return complex(float(obj["re"]), float(obj["im"]))
 
 

@@ -5,7 +5,8 @@ entries range cyclically over k values above the h parameters. Each generator
 I_{s+1,s} acts by shifting one entry of row s up or down (mod k) with
 coefficients that are ratios of q-brackets of l-coordinates, plus a diagonal
 term for odd s. Matrix columns are indexed by the source tableau, read as a
-mixed-radix number in base k.
+mixed-radix number in base k. A generator reads only three rows of the
+tableau, so its matrix is one small local matrix tiled over the other digits.
 
 Building needs only the standard library; numpy is imported by the code that
 computes with matrices (to_dense, to_csr, the residual and the commutant).
@@ -194,42 +195,29 @@ class SparseOperator:
         return max(counts.values(), default=0)
 
 
-def _basis_table(omega):
-    """(offsets, strides, lvals, rows), computed once per representation.
-
-    Basis vector idx has offset offsets[idx][pos] = idx // strides[pos] % k
-    at variable slot pos, with strides[pos] = k**(N-1-pos): the first slot
-    varies slowest. lvals[pos][off] is the l-coordinate of slot pos at offset
-    off, and rows[s] lists the slot positions of row s.
-    """
-    k = omega.order_k
-    slots = variable_slots(omega.n)
-    strides = [k ** (len(slots) - 1 - pos) for pos in range(len(slots))]
-    offsets = list(product(range(k), repeat=len(slots)))
-    lvals = [
-        [_l_from_m(omega.h[(i, s)] + off, i, s) for off in range(k)] for i, s in slots
-    ]
-    rows = {}
-    for pos, (_, s) in enumerate(slots):
-        rows.setdefault(s, []).append(pos)
-    return offsets, strides, lvals, rows
-
-
-def _shift_operator(omega, table, memo, s):
+def _shift_operator(omega, memo, s):
     """Matrix of the generator I_{s+1,s}: each entry of row s shifted up and
     down by one, cyclically mod k, plus a diagonal term for odd s.
 
-    Shifting slot pos moves the basis index by +-strides[pos], wrapping
-    within that mixed-radix digit. Besides the diagonal term, the two
-    families differ only in the shift denominators: q^l + q^-l for even s,
-    [2l-1][l] up and [2l-1][l-1] down for odd s.
+    It reads only rows s+1, s and s-1, whose w slots are consecutive in
+    variable_slots: digits lo..lo+w-1 of the basis index (first slot
+    slowest). So its matrix is 1 (x) M (x) 1, with M built once over the k^w
+    local offset tuples and tiled over the outer and inner digits, in (row,
+    col) order. Besides the diagonal term, the two families differ only in
+    the shift denominators: q^l + q^-l for even s, [2l-1][l] up and
+    [2l-1][l-1] down for odd s.
     """
-    offsets, strides, lvals, rows = table
     n, k, root = omega.n, omega.order_k, omega.root
+    slots = variable_slots(n)
+    lo = next(pos for pos, (_, r) in enumerate(slots) if r <= s + 1)
+    local = [(i, r) for i, r in slots[lo:] if r >= s - 1]
+    w = len(local)
+    lvals = [[_l_from_m(omega.h[slot] + off, *slot) for off in range(k)] for slot in local]
+    rows = {r: [p for p, (_, t) in enumerate(local) if t == r] for r in (s + 1, s, s - 1)}
     top = [_l_from_m(m, i, n) for i, m in enumerate(omega.m_top, 1)]
 
     def row_l(r, offs):
-        return top if r == n else [lvals[pos][offs[pos]] for pos in rows.get(r, ())]
+        return top if r == n else [lvals[p][offs[p]] for p in rows[r]]
 
     cells = {}
 
@@ -237,9 +225,9 @@ def _shift_operator(omega, table, memo, s):
         if val != 0:
             cells[(r, c)] = cells.get((r, c), 0) + val
 
-    for col, offs in enumerate(offsets):
+    for col, offs in enumerate(product(range(k), repeat=w)):
         upper, row, lower = row_l(s + 1, offs), row_l(s, offs), row_l(s - 1, offs)
-        for j, pos in enumerate(rows.get(s, ()), 1):
+        for j, p in enumerate(rows[s], 1):
             lj = row[j - 1]
             if s % 2 == 0:
                 den_up = den_down = _qpow_sum(root, memo, lj, ("l_{},{}", j, s))
@@ -248,17 +236,28 @@ def _shift_operator(omega, table, memo, s):
                 den_up = shared * _bracket(root, memo, lj, ("l_{},{}", j, s))
                 den_down = shared * _bracket(root, memo, lj - 1, ("l_{},{}-1", j, s))
             cj = omega.c[(j, s)]
-            off, step = offs[pos], strides[pos]
+            off, step = offs[p], k ** (w - 1 - p)
             add(col + ((off + 1) % k - off) * step, col,
                 cj * shift_coeff(root, memo, s, j, upper, row, lower) / den_up)
             down_row = list(row)
-            down_row[j - 1] = lvals[pos][(off - 1) % k]
+            down_row[j - 1] = lvals[p][(off - 1) % k]
             add(col + ((off - 1) % k - off) * step, col,
                 -shift_coeff(root, memo, s, j, upper, down_row, lower) / (cj * den_down))
         if s % 2:
             add(col, col, 1j * diagonal_coeff(root, memo, s, upper, row, lower))
-    entries = tuple((r, c, v) for (r, c), v in sorted(cells.items()) if v != 0)
-    return SparseOperator(f"I{s + 1}{s}", len(offsets), entries)
+    inner, dim = k ** (len(slots) - lo - w), k ** len(slots)
+    m_rows = {}  # the rows of M, its indices scaled by the inner digits
+    for (r, c), v in sorted(cells.items()):
+        if v != 0:
+            m_rows.setdefault(r * inner, []).append((c * inner, v))
+    entries = tuple(
+        (base + r + i, base + c + i, v)
+        for base in range(0, dim, k ** w * inner)
+        for r, cols in m_rows.items()
+        for i in range(inner)
+        for c, v in cols
+    )
+    return SparseOperator(f"I{s + 1}{s}", dim, entries)
 
 
 def build_representation(omega):
@@ -267,9 +266,8 @@ def build_representation(omega):
     One memo of brackets and q-power sums serves every generator: the same
     few l-coordinates recur across columns and generators.
     """
-    table = _basis_table(omega)
     memo = {}
-    return [_shift_operator(omega, table, memo, s) for s in range(1, omega.n)]
+    return [_shift_operator(omega, memo, s) for s in range(1, omega.n)]
 
 
 # -- verification --------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Test oracle for the representation basis: one object per tableau.
 
 `uqson.reps` builds its operators from index arithmetic on a mixed-radix
-basis index (`_basis_table`). This module keeps the object path that index
-arithmetic replaced: a `Tableau` per basis vector, its entries m and
-l-coordinates read off by slot, and the cyclic shift of one entry. The tests
-check the build's offsets, l-coordinates and shift targets against it.
+basis index. This module keeps the object path that index arithmetic
+replaced: a `Tableau` per basis vector, its entries m and l-coordinates read
+off by slot, and the cyclic shift of one entry. The tests check the build's
+shift targets and l-coordinates against it.
 """
 
 from __future__ import annotations

@@ -281,6 +281,76 @@ def test_exit_5_on_non_integer_params_indices(capsys, tmp_path, field, value):
     assert not rep.exists()
 
 
+NOT_FINITE_NUMBERS = pytest.mark.parametrize(
+    "literal", ["true", '"0.5"', "null", "NaN", "-Infinity", "1e400"],
+    ids=["bool", "string", "null", "nan", "infinity", "overflow"],
+)
+
+
+def write_with_literal(path, data, target, key, literal):
+    """Write data to path with target[key], an object inside data, set to a
+    raw JSON literal."""
+    target[key] = "@literal@"
+    path.write_text(json.dumps(data).replace('"@literal@"', literal))
+
+
+@NOT_FINITE_NUMBERS
+def test_exit_5_on_non_finite_rep_values(capsys, tmp_path, literal):
+    # float() would read true as 1.0 and "0.5" as 0.5, and json.load reads NaN
+    # and Infinity: a NaN entry made every residual nan
+    rep = write_rep(tmp_path / "rep.json", [(0, 1), (1, 0)])
+    data = json.loads(rep.read_text())
+    write_with_literal(rep, data, data["generators"][0]["entries"][0][2], "re", literal)
+    code, out, err = run(capsys, "rep-verify", "--rep", str(rep), "--q-order", "3")
+    assert (code, out) == (5, "")
+    assert "malformed representation file: re and im must be finite numbers" in err
+
+
+@NOT_FINITE_NUMBERS
+@pytest.mark.parametrize("field", ["mTop", "h"])
+def test_exit_5_on_non_finite_params_values(capsys, tmp_path, literal, field):
+    params = tmp_path / "omega.json"
+    run(capsys, "params-sample", "--n", "3", "--order", "3", "--seed", "2",
+        "--out", str(params))
+    data = json.loads(params.read_text())
+    target = data["mTop"][0] if field == "mTop" else data["h"][0]["value"]
+    write_with_literal(params, data, target, "im", literal)
+    rep = tmp_path / "rep.json"
+    code, out, err = run(capsys, "rep-build", "--params", str(params), "--out", str(rep))
+    assert (code, out) == (5, "")
+    assert "malformed parameter file: re and im must be finite numbers" in err
+    assert not rep.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_exit_1_on_nan_residuals(capsys, tmp_path):
+    # entries of 1e200 overflow the products, and inf - inf gives nan
+    # residuals: max() used to drop them and print PASS
+    big = {"re": 1e200, "im": 0.0}
+    cells = [[r, c, big] for r in range(3) for c in range(3)]
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"dim": 3, "generators": [
+        {"name": "I21", "entries": cells}, {"name": "I32", "entries": cells}]}))
+    code, out, _ = run(capsys, "rep-verify", "--rep", str(rep), "--q-order", "3")
+    assert code == 1
+    assert out == ("serre-a[2]: residual: nan\nserre-b[2]: residual: nan\n"
+                   "rep-verify dim=3 tol=1.000e-09: FAIL\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi-verify", "--twoj", "2", "--seed", "1", "--samples", "0"],
+    ["psi-verify", "--twoj", "2", "--seed", "1", "--samples", "-3"],
+    ["assoc-fuzz", "--n", "3", "--seed", "1", "--trials", "0"],
+    ["assoc-fuzz", "--n", "3", "--seed", "1", "--degree", "0"],
+], ids=["samples-0", "samples-negative", "trials-0", "degree-0"])
+def test_exit_2_on_counts_that_check_nothing(capsys, argv):
+    # zero samples or trials used to print PASS having checked nothing
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "must be a positive integer" in err
+
+
 # -- separate processes ------------------------------------------------------------
 
 

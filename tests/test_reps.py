@@ -3,12 +3,13 @@ relation residuals, irreducibility, and the JSON interchange formats.
 
 The l-coordinate oracle values are recomputed inline from the shift rules
 (l = m + p - i for even rows 2p, l = m + p - i + 1 for odd rows 2p+1), and
-the build's basis table and shift targets are checked against the
+the build's shift targets and l-coordinates are checked against the
 one-object-per-tableau path in `tableau_oracle`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from operator import matmul
@@ -32,7 +33,6 @@ from uqson.reps import (
     _DENSE_RESIDUAL_MAX_DIM,
     ParamsOmega,
     SparseOperator,
-    _basis_table,
     _bracket,
     _qpow_sum,
     _sylvester_dimension,
@@ -134,20 +134,13 @@ def test_shift_wraps_cyclically_and_top_row_is_fixed():
 
 
 @pytest.mark.parametrize("n, k", [(4, 5), (5, 3), (6, 3)])
-def test_basis_table_and_shift_targets_match_tableau_oracle(n, k):
+def test_shift_targets_and_i21_diagonal_match_tableau_oracle(n, k):
     omega = random_generic_params(n, k, 0)
-    offsets, _, lvals, rows = _basis_table(omega)
     tabs = enumerate_tableaux(omega)
-    slots = variable_slots(n)
-    assert offsets == [tab.offsets for tab in tabs]
-    for tab, offs in zip(tabs, offsets):
-        got = [lvals[pos][off] for pos, off in enumerate(offs)]
-        assert got == [l_value(omega, tab, i, s) for i, s in slots]
-    assert rows == {s: [slots.index((i, s)) for i in range(1, s // 2 + 1)]
-                    for s in range(2, n)}
+    ops = build_representation(omega)
     # generic parameters leave no shift coefficient zero, so the off-diagonal
     # support of I_{s+1,s} is exactly the +-1 shifts of every row-s entry
-    for s, op in enumerate(build_representation(omega), 1):
+    for s, op in enumerate(ops, 1):
         expected = {
             (tableau_index(shift_tableau(omega, tab, i, s, d)), tableau_index(tab))
             for tab in tabs
@@ -155,6 +148,11 @@ def test_basis_table_and_shift_targets_match_tableau_oracle(n, k):
             for d in (1, -1)
         }
         assert {(r, c) for r, c, _ in op.entries if r != c} == expected
+    # row 1 has no entry, so I21 is the diagonal i [l_{1,2}]: this checks the
+    # build's l-coordinate of the slot that varies fastest at every tableau
+    want = [(tableau_index(tab), tableau_index(tab),
+             1j * qbracket_numeric(l_value(omega, tab, 1, 2), omega.root)) for tab in tabs]
+    assert list(ops[0].entries) == want
 
 
 def _bits(z):
@@ -315,6 +313,25 @@ def test_relation_residuals_at_4096_dims():
     omega = random_generic_params(6, 4, 0)
     assert omega.dimension() == 4096 > _DENSE_RESIDUAL_MAX_DIM
     assert worst_residual(omega) < 1e-7
+
+
+# sha256 over repr((name, entries)) of each generator of the (7,3) seed-0
+# build, recorded before the build was tiled from per-generator local matrices
+DIGEST_7_3 = "7f966398c446004cecce3929af4587caaec775cb28869f2afb44f2750e3f88c1"
+
+
+def test_relation_residuals_at_19683_dims():
+    # (7,3), the largest rung: the build is pinned bit for bit in process, since
+    # its 64 MB rep-build JSON is too large for a golden digest test
+    omega = random_generic_params(7, 3, 0)
+    ops = build_representation(omega)
+    assert ops[0].dim == omega.dimension() == 19683
+    digest = hashlib.sha256()
+    for op in ops:
+        digest.update(repr((op.name, op.entries)).encode())
+    assert digest.hexdigest() == DIGEST_7_3
+    report = relation_residual(ops, omega.root)
+    assert max(entry["residual"] for entry in report) < 1e-7
 
 
 def dense_residual_oracle(ops, root):
