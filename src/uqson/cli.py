@@ -120,7 +120,7 @@ def cmd_rep_build(args):
     omega = jsonio.params_from_json(jsonio.load_json(args.params))
     reps.assert_generic(omega)
     ops = reps.build_representation(omega)
-    jsonio.dump_json(jsonio.rep_to_json(ops), args.out)
+    jsonio.dump_rep(ops, args.out)
     nnz = sum(len(op.entries) for op in ops)
     print(
         f"rep-build: n={omega.n} k={omega.order_k} dim={ops[0].dim} "
@@ -222,6 +222,26 @@ def _count(text):
     return int(text)
 
 
+def _twice_spin(text):
+    """argparse type of --twoj: 2j for the spin j, a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _check_root(parser, args):
+    """A verb's order and t flags must name a primitive root of unity: other
+    values are usage errors here (exit 2), and format errors in a parameter
+    file (exit 5)."""
+    flags = getattr(args, "root_flags", None)
+    if flags:
+        order, t = (getattr(args, flag[2:].replace("-", "_")) for flag in flags)
+        try:
+            RootOfUnity(order, t)
+        except ValueError as exc:
+            parser.exit(EXIT_USAGE, f"uqson {args.verb}: error: {'/'.join(flags)}: {exc}\n")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="uqson",
@@ -274,7 +294,7 @@ def build_parser():
     p.add_argument("--commutant", action="store_true",
                    help="also require commutant dimension 1")
     p.add_argument("--out", default=None, help="optional JSON report path")
-    p.set_defaults(func=cmd_rep_verify)
+    p.set_defaults(func=cmd_rep_verify, root_flags=("--q-order", "--q-t"))
 
     p = sub.add_parser("rep-commutant", help="commutant dimension of a dumped representation")
     p.add_argument("--rep", required=True)
@@ -286,7 +306,7 @@ def build_parser():
     p.set_defaults(func=cmd_embed_verify)
 
     p = sub.add_parser("psi-verify", help="check the rank-3 composition on weight-basis irreps")
-    p.add_argument("--twoj", type=int, required=True)
+    p.add_argument("--twoj", type=_twice_spin, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--samples", type=_count, default=10)
     p.add_argument("--tol", type=float, default=1e-10)
@@ -299,7 +319,7 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--t", type=int, default=1, help="which primitive root (exponent numerator)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_params_sample)
+    p.set_defaults(func=cmd_params_sample, root_flags=("--order", "--t"))
 
     return parser
 
@@ -308,6 +328,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_root(parser, args)
     except SystemExit as exc:  # argparse reports usage errors itself
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

@@ -6,8 +6,10 @@ indent, trailing newline. Complex numbers are {"re": float, "im": float}.
 
 from __future__ import annotations
 
+import cmath
 import json
 import sys
+from itertools import pairwise
 
 from .coeffring import RootOfUnity
 from .params import ParamsOmega
@@ -74,29 +76,51 @@ def params_from_json(data):
     return ParamsOmega(n=n, root=RootOfUnity(order, t), m_top=m_top, h=h, c=c)
 
 
-def rep_to_json(ops):
+# One entry of a representation file as json.dumps(indent=2, sort_keys=True)
+# lays it out; %r of a float is float.__repr__, the text json writes
+_ENTRY = (
+    "        [\n          %d,\n          %d,\n          {\n"
+    '            "im": %r,\n            "re": %r\n          }\n        ]'
+)
+
+
+def dump_rep(ops, path):
+    """Write a representation file: the bytes of json.dumps(obj, indent=2,
+    sort_keys=True) and a newline, for obj = {"dim": dim, "generators":
+    [{"entries": [[row, col, {"im": ..., "re": ...}], ...], "name": name},
+    ...]}, written one generator at a time. A non-finite part is refused
+    before the file is opened, since rep_from_json would refuse it."""
     ops = list(ops)
     if not ops:
         raise ValueError("representation dump needs at least one operator")
-    dim = ops[0].dim
-    return {
-        "dim": dim,
-        "generators": [
-            {
-                "name": op.name,
-                "entries": [
-                    [row, col, complex_to_json(value)] for row, col, value in op.entries
-                ],
-            }
-            for op in ops
-        ],
-    }
+    for op in ops:
+        for row, col, value in op.entries:
+            if not cmath.isfinite(value):
+                raise ValueError(
+                    f"{op.name} cell ({row}, {col}) is {complex(value)!r}: "
+                    "a representation file holds only finite numbers"
+                )
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{\n  "dim": %d,\n  "generators": [' % ops[0].dim)
+        for i, op in enumerate(ops):
+            fh.write(",\n    {\n" if i else "\n    {\n")
+            if op.entries:
+                fh.write('      "entries": [\n')
+                fh.write(",\n".join([
+                    _ENTRY % (row, col, z.imag, z.real)
+                    for row, col, value in op.entries for z in (complex(value),)
+                ]))
+                fh.write("\n      ],\n")
+            else:
+                fh.write('      "entries": [],\n')
+            fh.write('      "name": %s\n    }' % json.dumps(op.name))
+        fh.write("\n  ]\n}\n")
 
 
 def rep_from_json(data):
     """Operators from a representation dump. The dimension and each entry's
     row and col must be JSON integers, with 0 <= row, col < dim, in strictly
-    increasing (row, col) order (the order rep_to_json writes), so no index
+    increasing (row, col) order (the order dump_rep writes), so no index
     is truncated or wraps and no cell is given twice."""
     from .reps import SparseOperator  # parameter files never need the operator layer
 
@@ -112,7 +136,7 @@ def rep_from_json(data):
             if not all(
                 type(row) is int and type(col) is int and 0 <= row < dim and 0 <= col < dim
                 for row, col in cells
-            ) or cells != sorted(set(cells)):
+            ) or not all(a < b for a, b in pairwise(cells)):
                 raise ValueError(
                     f"malformed representation file: {name} entries must be integers in "
                     f"0..{dim - 1}, in strictly increasing (row, col) order"

@@ -295,16 +295,21 @@ _DENSE_RESIDUAL_MAX_DIM = 256
 def relation_residual(ops, root):
     """Max-entry residual of every defining relation on the given operators,
     through dense products up to _DENSE_RESIDUAL_MAX_DIM and CSR ones above."""
+    import numpy as np
+
     from .pbw.verify import defining_relation_residuals
 
     n = len(ops) + 1
     sparse = _common_dim(ops) > _DENSE_RESIDUAL_MAX_DIM
     mats = [op.to_csr() if sparse else op.to_dense() for op in ops]
     q = root.value()
-    return [
-        {"relation": name, "residual": float(abs(resid).max())}
-        for name, _, resid in defining_relation_residuals(n, mats, q + 1 / q, matmul)
-    ]
+    # products that overflow give inf and then nan residuals, which fail the
+    # check; numpy need not also warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [
+            {"relation": name, "residual": float(abs(resid).max())}
+            for name, _, resid in defining_relation_residuals(n, mats, q + 1 / q, matmul)
+        ]
 
 
 # Spectral certificate thresholds, set from the margins measured on 152

@@ -322,20 +322,26 @@ def test_exit_5_on_non_finite_params_values(capsys, tmp_path, literal, field):
     assert not rep.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_exit_1_on_nan_residuals(capsys, tmp_path):
-    # entries of 1e200 overflow the products, and inf - inf gives nan
-    # residuals: max() used to drop them and print PASS
+def write_overflowing_rep(path):
+    """A 3-dim representation file with entries of 1e200: the products
+    overflow, and inf - inf gives nan residuals."""
     big = {"re": 1e200, "im": 0.0}
     cells = [[r, c, big] for r in range(3) for c in range(3)]
-    rep = tmp_path / "rep.json"
-    rep.write_text(json.dumps({"dim": 3, "generators": [
+    path.write_text(json.dumps({"dim": 3, "generators": [
         {"name": "I21", "entries": cells}, {"name": "I32", "entries": cells}]}))
+    return path
+
+
+NAN_VERDICT = ("serre-a[2]: residual: nan\nserre-b[2]: residual: nan\n"
+               "rep-verify dim=3 tol=1.000e-09: FAIL\n")
+
+
+def test_exit_1_on_nan_residuals(capsys, tmp_path):
+    # max() used to drop the nan residuals and print PASS
+    rep = write_overflowing_rep(tmp_path / "rep.json")
     code, out, _ = run(capsys, "rep-verify", "--rep", str(rep), "--q-order", "3")
     assert code == 1
-    assert out == ("serre-a[2]: residual: nan\nserre-b[2]: residual: nan\n"
-                   "rep-verify dim=3 tol=1.000e-09: FAIL\n")
+    assert out == NAN_VERDICT
 
 
 @pytest.mark.parametrize("argv", [
@@ -349,6 +355,50 @@ def test_exit_2_on_counts_that_check_nothing(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert "must be a positive integer" in err
+
+
+OUT = ["--out", "{tmp}/omega.json"]
+REP = ["--rep", "{tmp}/rep.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["params-sample", "--n", "3", "--order", "1", "--seed", "0", *OUT],
+     "uqson params-sample: error: --order/--t: order must be an integer >= 2, got 1"),
+    (["params-sample", "--n", "3", "--order", "3", "--t", "3", "--seed", "0", *OUT],
+     "uqson params-sample: error: --order/--t: t = 3 is not coprime to order = 3"),
+    (["params-sample", "--n", "3", "--order", "5", "--t", "0", "--seed", "0", *OUT],
+     "uqson params-sample: error: --order/--t: t must be a positive integer, got 0"),
+    (["rep-verify", *REP, "--q-order", "1"],
+     "uqson rep-verify: error: --q-order/--q-t: order must be an integer >= 2, got 1"),
+    (["rep-verify", *REP, "--q-order", "4", "--q-t", "2"],
+     "uqson rep-verify: error: --q-order/--q-t: t = 2 is not coprime to order = 4"),
+    (["psi-verify", "--twoj", "-1", "--seed", "1"],
+     "argument --twoj: must be a non-negative integer, got '-1'"),
+], ids=["order-1", "t-not-coprime", "t-0", "q-order-1", "q-t-not-coprime", "twoj-negative"])
+def test_exit_2_on_out_of_range_argument_values(capsys, tmp_path, argv, message):
+    # no file is read or written: these used to exit 5, file or format trouble
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("order, t, message", [
+    (1, 1, "order must be an integer >= 2, got 1"),
+    (3, 3, "t = 3 is not coprime to order = 3"),
+], ids=["order-1", "t-not-coprime"])
+def test_exit_5_on_out_of_range_root_in_a_parameter_file(capsys, tmp_path, order, t, message):
+    params = tmp_path / "omega.json"
+    run(capsys, "params-sample", "--n", "3", "--order", "3", "--seed", "2",
+        "--out", str(params))
+    data = json.loads(params.read_text())
+    data["orderK"], data["t"] = order, t
+    params.write_text(json.dumps(data))
+    rep = tmp_path / "rep.json"
+    code, out, err = run(capsys, "rep-build", "--params", str(params), "--out", str(rep))
+    assert (code, out) == (5, "")
+    assert err == f"error: {message}\n"
+    assert not rep.exists()
 
 
 # -- separate processes ------------------------------------------------------------
@@ -369,6 +419,14 @@ def test_embed_verify_refuses_a_rank_above_the_maximum_at_once():
                        timeout=10)
     assert (proc.returncode, proc.stdout) == (4, "")
     assert proc.stderr == "error: rank 24 exceeds the supported maximum 23\n"
+
+
+def test_rep_verify_reports_nan_residuals_with_clean_stderr(tmp_path):
+    # numpy used to print overflow and invalid-value RuntimeWarnings first
+    rep = write_overflowing_rep(tmp_path / "rep.json")
+    proc = run_process([sys.executable, "-m", "uqson.cli", "rep-verify", "--rep", str(rep),
+                        "--q-order", "3"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, NAN_VERDICT, "")
 
 
 def test_module_invocation_has_clean_stderr():

@@ -4,10 +4,10 @@ byte-identical, and degenerate parameters must be refused at build time with
 the documented message.
 
 The digests are the sha256 of `jsonio.dumps_json(params_to_json(omega))` and
-of `jsonio.dumps_json(rep_to_json(ops))`, the exact bytes `params-sample` and
-`rep-build` write. Any rewrite of `reps.build_representation` must
-reproduce these digests: every matrix entry to the last bit, in the same
-order.
+of the file `jsonio.dump_rep(ops, path)` writes, the exact bytes
+`params-sample` and `rep-build` write. Any rewrite of
+`reps.build_representation` or of `jsonio.dump_rep` must reproduce these
+digests: every matrix entry to the last bit, in the same order.
 """
 
 from __future__ import annotations
@@ -56,11 +56,15 @@ def test_params_sample_json_pinned(n, k, seed, t):
     assert hashlib.sha256(blob.encode()).hexdigest() == PARAMS_DIGESTS[(n, k, seed, t)]
 
 
+def rep_file_digest(ops, path):
+    jsonio.dump_rep(ops, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("n, k, seed, t", sorted(REP_DIGESTS))
-def test_rep_build_json_pinned(n, k, seed, t):
+def test_rep_build_json_pinned(tmp_path, n, k, seed, t):
     ops = build_representation(random_generic_params(n, k, seed, t))
-    blob = jsonio.dumps_json(jsonio.rep_to_json(ops))
-    assert hashlib.sha256(blob.encode()).hexdigest() == REP_DIGESTS[(n, k, seed, t)]
+    assert rep_file_digest(ops, tmp_path / "rep.json") == REP_DIGESTS[(n, k, seed, t)]
 
 
 # A hand-written (5,3) parameter file: real h and m_top whose imaginary parts
@@ -86,12 +90,12 @@ SIGNED_ZERO_PARAMS = """{
 SIGNED_ZERO_DIGEST = "8ec7da9a416aae4c3dd97375883b6ba6ba52ef2237e6660797f1c38e6ede3e00"
 
 
-def test_rep_build_json_pinned_with_signed_zero_imaginary_parts():
+def test_rep_build_json_pinned_with_signed_zero_imaginary_parts(tmp_path):
     omega = jsonio.params_from_json(json.loads(SIGNED_ZERO_PARAMS))
     assert math.copysign(1.0, omega.h[(1, 2)].imag) == -1.0  # the file's -0.0 survives
     assert_generic(omega)
-    blob = jsonio.dumps_json(jsonio.rep_to_json(build_representation(omega)))
-    assert hashlib.sha256(blob.encode()).hexdigest() == SIGNED_ZERO_DIGEST
+    ops = build_representation(omega)
+    assert rep_file_digest(ops, tmp_path / "rep.json") == SIGNED_ZERO_DIGEST
 
 
 def _with_h(n, k, seed, slot, value):

@@ -318,11 +318,14 @@ def test_relation_residuals_at_4096_dims():
 # sha256 over repr((name, entries)) of each generator of the (7,3) seed-0
 # build, recorded before the build was tiled from per-generator local matrices
 DIGEST_7_3 = "7f966398c446004cecce3929af4587caaec775cb28869f2afb44f2750e3f88c1"
+# sha256 of its 63,864,251-byte rep-build file, recorded while json.dumps
+# wrote representation files
+FILE_DIGEST_7_3 = "1e7d4ffa299f97afd9c561d57e202b1e0509b36a5adb9441b2cd509611d42536"
 
 
-def test_relation_residuals_at_19683_dims():
-    # (7,3), the largest rung: the build is pinned bit for bit in process, since
-    # its 64 MB rep-build JSON is too large for a golden digest test
+def test_relation_residuals_at_19683_dims(tmp_path):
+    # (7,3), the largest rung: the build is pinned bit for bit in process, and
+    # the file rep-build writes from it by its digest
     omega = random_generic_params(7, 3, 0)
     ops = build_representation(omega)
     assert ops[0].dim == omega.dimension() == 19683
@@ -330,6 +333,11 @@ def test_relation_residuals_at_19683_dims():
     for op in ops:
         digest.update(repr((op.name, op.entries)).encode())
     assert digest.hexdigest() == DIGEST_7_3
+    path = tmp_path / "rep.json"
+    jsonio.dump_rep(ops, path)
+    with open(path, "rb") as fh:
+        assert hashlib.file_digest(fh, "sha256").hexdigest() == FILE_DIGEST_7_3
+    path.unlink()
     report = relation_residual(ops, omega.root)
     assert max(entry["residual"] for entry in report) < 1e-7
 
@@ -528,10 +536,10 @@ def test_params_json_round_trip():
     assert back.root.t == 2
 
 
-def test_rep_json_round_trip():
+def test_rep_json_round_trip(tmp_path):
     ops = build_representation(random_generic_params(3, 3, 13))
-    data = json.loads(jsonio.dumps_json(jsonio.rep_to_json(ops)))
-    back = jsonio.rep_from_json(data)
+    jsonio.dump_rep(ops, tmp_path / "rep.json")
+    back = jsonio.rep_from_json(jsonio.load_json(tmp_path / "rep.json"))
     assert back == ops
 
 
