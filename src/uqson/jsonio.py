@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 import sys
 from itertools import pairwise
 
@@ -117,15 +118,24 @@ def dump_rep(ops, path):
         fh.write("\n  ]\n}\n")
 
 
+# Largest dimension whose flat cell indices row * dim + col fit in int64
+_MAX_DIM = math.isqrt(2**63 - 1)
+
+
 def rep_from_json(data):
     """Operators from a representation dump. The dimension and each entry's
-    row and col must be JSON integers, with 0 <= row, col < dim, in strictly
-    increasing (row, col) order (the order dump_rep writes), so no index
-    is truncated or wraps and no cell is given twice."""
+    row and col must be JSON integers, with 1 <= dim <= _MAX_DIM and
+    0 <= row, col < dim, in strictly increasing (row, col) order (the order
+    dump_rep writes), so no index is truncated or wraps and no cell is given
+    twice."""
     from .reps import SparseOperator  # parameter files never need the operator layer
 
     try:
         dim = _integer(data["dim"], "dim")
+        if not 1 <= dim <= _MAX_DIM:
+            raise ValueError(
+                f"malformed representation file: dim = {dim} is not in 1..{_MAX_DIM}"
+            )
         ops = []
         for gen in data["generators"]:
             name = str(gen["name"])

@@ -10,8 +10,9 @@ tableau, so its matrix is one small local matrix tiled over the other digits.
 
 Building needs only the standard library; numpy is imported by the code that
 computes with matrices (to_dense, to_csr, the residual and the commutant).
-scipy is imported only by to_csr, which runs in the residual above
-_DENSE_RESIDUAL_MAX_DIM and in the sparse Sylvester solve.
+The residual above _DENSE_RESIDUAL_MAX_DIM multiplies _FlatSparse matrices,
+which are numpy code. scipy is imported only by to_csr, which runs only in
+the sparse Sylvester solve of the commutant.
 """
 
 from __future__ import annotations
@@ -282,32 +283,134 @@ def _common_dim(ops):
     return dims.pop()
 
 
-# Largest dimension whose residual is taken with dense products. Up to here
-# the dense residual costs less than importing scipy.sparse (0.17-0.20 s): it
-# took 0.08 s at (5,4) = 256 and 0.15 s at (4,20) = 400 (best of 3, in
-# process, 2-core machine), growing as d^3. The printed residual digits of
-# small representations, the (4,4) known defect among them, keep the dense
-# summation order. Above it, products of the CSR matrices (at most n - 1
-# nonzeros per column) replace the O(d^3) dense ones.
+def _summed(dim, cells, re, im):
+    """The _FlatSparse matrix with the value re[j] + 1j * im[j] at flat cell
+    cells[j], the values of a repeated cell summed in the order given."""
+    import numpy as np
+
+    order = np.argsort(cells, kind="stable")
+    cells = cells[order]
+    first = np.ones(len(cells), dtype=bool)
+    np.not_equal(cells[1:], cells[:-1], out=first[1:])
+    if first.all():
+        return _FlatSparse(dim, cells, re[order], im[order])
+    # seg[i] is the 1-based rank of cells[i] among the distinct cells; bincount
+    # adds the values of each cell one by one, in the order given, to 0.0
+    seg = np.empty_like(order)
+    seg[order] = np.cumsum(first)
+    return _FlatSparse(dim, cells[np.flatnonzero(first)],
+                       np.bincount(seg, re)[1:], np.bincount(seg, im)[1:])
+
+
+class _FlatSparse:
+    """A d x d complex matrix as its stored cells: sorted, unique flat
+    indices row * d + col (int64, so d * d < 2**63, as rep_from_json checks)
+    and the real and imaginary parts of their values. It supports what
+    defining_relation_residuals applies to its operands, X @ Y, X + Y, X - Y
+    and c * X, and abs(X), the absolute values of the stored entries. Memory
+    is O(nnz), with no array of length d, and scipy is not needed.
+
+    Every value is formed from real operations on its parts: numpy's complex
+    multiply may fuse them (FMA), so that x * y and y * x differ in the last
+    bit, and a commutator of commuting operators would not cancel exactly.
+    """
+
+    __slots__ = ("dim", "cells", "re", "im")
+
+    def __init__(self, dim, cells, re, im):
+        self.dim, self.cells, self.re, self.im = dim, cells, re, im
+
+    @staticmethod
+    def from_operator(op):
+        """Repeated or unsorted (row, col) triples are summed and sorted, as
+        to_csr does."""
+        import numpy as np
+
+        rows, cols, vals = zip(*op.entries) if op.entries else ((), (), ())
+        cells = np.array(rows, dtype=np.int64) * op.dim + np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=np.complex128)
+        return _summed(op.dim, cells, vals.real.copy(), vals.imag.copy())
+
+    def __matmul__(self, other):
+        """Gustavson's row-by-row product: each entry (r, m) of self meets
+        row m of other, found by binary search among other's stored rows."""
+        import numpy as np
+
+        d = self.dim
+        mids = self.cells % d
+        # stored row keys[t] of other holds its cells bounds[t]:bounds[t + 1];
+        # the last key, d, is past every row and matches no entry of self
+        rows = other.cells // d
+        bounds = np.flatnonzero(np.diff(rows, prepend=-1, append=d))
+        keys = np.append(rows[bounds[:-1]], d)
+        bounds = np.append(bounds, len(rows))
+        t = np.searchsorted(keys, mids)
+        lo = bounds[t]
+        counts = np.where(keys[t] == mids, bounds[t + 1] - lo, 0)
+        # one term per pair of an entry of self and an entry of the row of
+        # other it meets; pos is the index of that entry of other
+        pos = np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        pos += np.arange(len(pos))
+        cells = np.repeat(self.cells - mids, counts) + (other.cells % d)[pos]
+        xr, xi = np.repeat(self.re, counts), np.repeat(self.im, counts)
+        yr, yi = other.re[pos], other.im[pos]
+        return _summed(d, cells, xr * yr - xi * yi, xr * yi + xi * yr)
+
+    def __add__(self, other):
+        import numpy as np
+
+        return _summed(self.dim, np.concatenate([self.cells, other.cells]),
+                       np.concatenate([self.re, other.re]), np.concatenate([self.im, other.im]))
+
+    def __sub__(self, other):
+        return self + _FlatSparse(other.dim, other.cells, -other.re, -other.im)
+
+    def __rmul__(self, scalar):
+        c = complex(scalar)
+        return _FlatSparse(self.dim, self.cells, c.real * self.re - c.imag * self.im,
+                           c.real * self.im + c.imag * self.re)
+
+    def __abs__(self):
+        import numpy as np
+
+        # numpy's complex absolute value, which differs from np.hypot in the
+        # last bit, so that both residual paths measure a value alike
+        values = np.empty(len(self.cells), dtype=np.complex128)
+        values.real, values.imag = self.re, self.im
+        return np.abs(values)
+
+
+# Largest dimension whose residual is taken with dense products. It is kept
+# for the printed residual digits of small representations, the (4,4) known
+# defect's among them, which the dense summation order fixes and the
+# benchmark pool pins. Speed no longer needs it: in process the _FlatSparse
+# residual took 9 ms at (5,4) = 256, against 52 ms dense (best of 5, 2-core
+# machine), so a rebuild of the pool can drop the dense path. Above it,
+# products of the _FlatSparse matrices (at most n - 1 nonzeros per column)
+# replace the O(d^3) dense ones.
 _DENSE_RESIDUAL_MAX_DIM = 256
 
 
 def relation_residual(ops, root):
     """Max-entry residual of every defining relation on the given operators,
-    through dense products up to _DENSE_RESIDUAL_MAX_DIM and CSR ones above."""
+    through dense products up to _DENSE_RESIDUAL_MAX_DIM and _FlatSparse
+    ones above."""
     import numpy as np
 
     from .pbw.verify import defining_relation_residuals
 
     n = len(ops) + 1
-    sparse = _common_dim(ops) > _DENSE_RESIDUAL_MAX_DIM
-    mats = [op.to_csr() if sparse else op.to_dense() for op in ops]
+    if _common_dim(ops) > _DENSE_RESIDUAL_MAX_DIM:
+        mats = [_FlatSparse.from_operator(op) for op in ops]
+    else:
+        mats = [op.to_dense() for op in ops]
     q = root.value()
     # products that overflow give inf and then nan residuals, which fail the
     # check; numpy need not also warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         return [
-            {"relation": name, "residual": float(abs(resid).max())}
+            # initial: a sparse residual with no stored entry is zero
+            {"relation": name, "residual": float(abs(resid).max(initial=0.0))}
             for name, _, resid in defining_relation_residuals(n, mats, q + 1 / q, matmul)
         ]
 

@@ -234,7 +234,8 @@ def write_rep(path, entries):
 )
 def test_exit_5_on_malformed_entry_indices(capsys, tmp_path, entries):
     # a negative index would wrap to the last row, and a repeated cell would be
-    # kept once by to_dense but summed by to_csr: the file is refused instead
+    # kept once by to_dense but summed by the sparse residual: the file is
+    # refused instead
     rep = write_rep(tmp_path / "rep.json", entries)
     for argv in (["rep-verify", "--rep", str(rep), "--q-order", "3"],
                  ["rep-commutant", "--rep", str(rep)]):
@@ -260,6 +261,29 @@ def test_exit_5_on_non_integer_rep_indices(capsys, tmp_path, field, value):
     code, out, err = run(capsys, "rep-commutant", "--rep", str(rep))
     assert (code, out) == (5, "")
     assert "malformed representation file" in err
+
+
+@pytest.mark.parametrize("dim", [0, 3037000500, 4000000000])
+def test_exit_5_on_a_dimension_that_cannot_be_indexed(tmp_path, dim):
+    # the sparse residual indexes cell (row, col) as row * dim + col in int64,
+    # so dim * dim must stay below 2**63. The file is refused before anything
+    # is allocated; the limit on the address space makes an array of dim
+    # indices (32 GB at 4e9) fail instead of taking the memory
+    rep = write_rep(tmp_path / "rep.json", [(0, 1), (1, 0)])
+    data = json.loads(rep.read_text())
+    data["dim"] = dim
+    rep.write_text(json.dumps(data))
+    argv = ["rep-verify", "--rep", str(rep), "--q-order", "3"]
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from uqson.cli import main\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    proc = run_process([sys.executable, "-c", code])
+    assert (proc.returncode, proc.stdout) == (5, "")
+    assert proc.stderr == (f"error: malformed representation file: dim = {dim} "
+                           "is not in 1..3037000499\n")
 
 
 @NOT_INTEGERS
@@ -510,12 +534,11 @@ def test_verb_loads_numpy_only_when_it_computes_with_it(tmp_path, verb, loads_nu
     assert (kernel == "[]") == (verb in PBW_FREE), kernel
 
 
-@pytest.mark.parametrize("order, heavy", [(16, ["numpy"]), (17, ["numpy", "scipy"])],
-                         ids=["d256-dense", "d289-csr"])
-def test_rep_verify_loads_scipy_only_above_the_dense_residual_cutoff(tmp_path, order, heavy):
+@pytest.mark.parametrize("order", [16, 17], ids=["d256-dense", "d289-sparse"])
+def test_rep_verify_loads_no_scipy_on_either_side_of_the_dense_residual_cutoff(tmp_path, order):
     # (4,16) = 256 dims is the largest representation whose residual is taken
-    # with dense products and (4,17) = 289 the smallest one taken with CSR
-    # products, which import scipy.sparse (about 0.2 s)
+    # with dense products and (4,17) = 289 the smallest one taken with sparse
+    # products, which are numpy code: importing scipy.sparse would cost 0.2 s
     omega, rep = tmp_path / "omega.json", tmp_path / "rep.json"
     for setup in (["params-sample", "--n", "4", "--order", str(order), "--seed", "0",
                    "--out", str(omega)],
@@ -532,7 +555,7 @@ def test_rep_verify_loads_scipy_only_above_the_dense_residual_cutoff(tmp_path, o
     proc = run_process([sys.executable, "-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith(f"rep-verify dim={order ** 2} ")
-    assert proc.stderr == f"{heavy!r}\n"
+    assert proc.stderr == "['numpy']\n"
 
 
 def console_script_argv():

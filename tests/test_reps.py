@@ -33,6 +33,7 @@ from uqson.reps import (
     _DENSE_RESIDUAL_MAX_DIM,
     ParamsOmega,
     SparseOperator,
+    _FlatSparse,
     _bracket,
     _qpow_sum,
     _sylvester_dimension,
@@ -309,7 +310,7 @@ def test_relation_residuals_rank_6():
 
 
 def test_relation_residuals_at_4096_dims():
-    # (6,4): one dense matrix would take 268 MB, so only the CSR path runs here
+    # (6,4): one dense matrix would take 268 MB, so only the sparse path runs here
     omega = random_generic_params(6, 4, 0)
     assert omega.dimension() == 4096 > _DENSE_RESIDUAL_MAX_DIM
     assert worst_residual(omega) < 1e-7
@@ -353,8 +354,9 @@ def dense_residual_oracle(ops, root):
     ]
 
 
-# Both paths round differently, so their residuals, each rounding noise of
-# 1e-14 to 1e-11 here, differ by up to 2.3e-13 at (4,17) seed 0
+# The dense and sparse paths round differently, so their residuals, each
+# rounding noise of 1e-14 to 1e-11 here, differ by up to 9.9e-13 at (4,17)
+# seed 0 (serre-b[3]: 5.512e-12 dense, 4.522e-12 sparse)
 RESIDUAL_PATHS_ATOL = 1e-12
 
 
@@ -368,14 +370,96 @@ def assert_residual_paths_agree(ops, root):
 
 
 @pytest.mark.parametrize("n,k,dense", [(5, 4, True), (4, 17, False)],
-                         ids=["d256-dense", "d289-csr"])
+                         ids=["d256-dense", "d289-sparse"])
 def test_residual_paths_agree_at_the_cutoff(n, k, dense):
     omega = random_generic_params(n, k, 0)
     got, want = assert_residual_paths_agree(build_representation(omega), omega.root)
     if dense:
         # the dense path is the oracle itself, so the printed digits cannot
-        # move; with CSR products serre-b[2] would read 1.721e-15, not 1.740e-15
+        # move; with sparse products serre-b[2] would read 1.721e-15, not 1.740e-15
         assert [e["residual"] for e in got] == [value for _, value in want]
+
+
+@pytest.mark.parametrize("n,k", [(5, 5), (4, 17)])
+def test_commutators_cancel_exactly_on_the_sparse_path(n, k):
+    # a commute[i,j] residual is a*b - b*a for generators moving disjoint
+    # rows: each entry of both products is one product of the same two
+    # numbers, so it cancels only if x*y and y*x round alike
+    omega = random_generic_params(n, k, 0)
+    assert omega.dimension() > _DENSE_RESIDUAL_MAX_DIM
+    report = relation_residual(build_representation(omega), omega.root)
+    commute = [e["residual"] for e in report if e["relation"].startswith("commute")]
+    assert commute and all(value == 0.0 for value in commute)
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+def test_empty_generator_above_the_cutoff(w):
+    # a residual with no stored entry reads 0, as the dense oracle's does
+    omega = random_generic_params(4, 17, 0)
+    ops = build_representation(omega)
+    ops[w - 2] = SparseOperator(ops[w - 2].name, ops[w - 2].dim, ())
+    got, _ = assert_residual_paths_agree(ops, omega.root)
+    assert any(e["residual"] == 0.0 for e in got)
+
+
+def test_sparse_residual_does_not_depend_on_the_dimension():
+    # the (3,3) operators declared in 300 and in the largest dimension a
+    # representation file may declare: the residual holds no array of length
+    # d, and its flat cell indices row * d + col do not overflow
+    omega = random_generic_params(3, 3, 0)
+    ops = build_representation(omega)
+    reports = [
+        relation_residual([SparseOperator(op.name, dim, op.entries) for op in ops], omega.root)
+        for dim in (300, jsonio._MAX_DIM)
+    ]
+    assert reports[0] == reports[1]
+    assert max(e["residual"] for e in reports[0]) < 1e-9
+
+
+def flat_sparse_to_dense(m):
+    assert (np.diff(m.cells) > 0).all()  # sorted, unique cells
+    dense = np.zeros(m.dim * m.dim, dtype=np.complex128)
+    dense[m.cells] = m.re + 1j * m.im
+    return dense.reshape(m.dim, m.dim)
+
+
+SMALL_INTS = st.integers(-3, 3)
+SMALL_COMPLEX = st.builds(complex, SMALL_INTS, SMALL_INTS)
+
+
+@st.composite
+def triples(draw, dim):
+    # (row, col, value) triples, unsorted and with repeated cells
+    cell = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    return [(r, c, v) for (r, c), v in draw(st.lists(st.tuples(cell, SMALL_COMPLEX), max_size=12))]
+
+
+def summed_dense(dim, entries):
+    dense = np.zeros((dim, dim), dtype=np.complex128)
+    for r, c, v in entries:
+        dense[r, c] += v
+    return dense
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 6), scalar=SMALL_COMPLEX)
+def test_flat_sparse_matches_dense_exactly(data, dim, scalar):
+    # small-integer entries make every partial sum exact, so each result
+    # must equal the dense one, whatever the summation order
+    x_entries, y_entries = data.draw(triples(dim)), data.draw(triples(dim))
+    x, y = (_FlatSparse.from_operator(SparseOperator("T", dim, tuple(e)))
+            for e in (x_entries, y_entries))
+    dx, dy = summed_dense(dim, x_entries), summed_dense(dim, y_entries)
+    for got, want in [
+        (x, dx),
+        (x @ y, dx @ dy),
+        (x @ y @ x, dx @ dy @ dx),
+        (x + y, dx + dy),
+        (x - y, dx - dy),
+        (scalar * x, scalar * dx),
+    ]:
+        assert np.array_equal(flat_sparse_to_dense(got), want)
+    assert abs(x - y).max(initial=0.0) == np.abs(dx - dy).max()
 
 
 @pytest.mark.parametrize("w", [2, 3, 4])
