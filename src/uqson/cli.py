@@ -7,9 +7,10 @@ Exit codes: 0 all checks pass, 1 a check failed, 2 usage or expression
 syntax, 3 degenerate parameter or q value, 4 structural misuse (rank,
 variant, index, dimension), 5 file or format trouble.
 
-Each verb imports the modules it runs: the exact verbs never load numpy,
-whose import costs more than the rest of the package's, and params-sample
-and rep-build load neither numpy nor the PBW kernel.
+Each verb imports the modules it runs. Only rep-verify, rep-commutant and
+psi-verify, which compute in floating point, load numpy, whose import costs
+more than the rest of the package's; params-sample and rep-build load
+neither numpy nor the PBW kernel.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def cmd_rep_verify(args):
 
     ops = jsonio.rep_from_json(jsonio.load_json(args.rep))
     root = RootOfUnity(args.q_order, args.q_t)
-    dim = ops[0].dim if ops else 0
+    dim = ops[0].dim
     tol = args.tol if args.tol is not None else _default_rep_tol(dim)
     report = reps.relation_residual(ops, root)
     for entry in report:

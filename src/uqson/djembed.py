@@ -3,8 +3,9 @@
 The tilde elements F_{j-1} - q q^{-H_{j-1}} E_{j-1} are verified to satisfy
 every defining relation of the deformed orthogonal algebra inside the vector
 representation of the standard quantum algebra, with exact Laurent
-coefficients. The rank-3 composition map (X from the Cartan part, Y from
-E - F) is verified numerically on the standard weight-basis irreps.
+coefficients in sparse `ExactMatrix` cells and no numpy. The rank-3
+composition map (X from the Cartan part, Y from E - F) is verified
+numerically on the standard weight-basis irreps, in numpy.
 """
 
 from __future__ import annotations
@@ -14,12 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import matmul
 
-import numpy as np
-
 from .coeffring import LaurentPoly, qnumber
 from .errors import DegenerateQ, IndexOutOfRange, SingularDenominator
 from .pbw._rules import check_rank
-from .pbw.classical import classical_generator
+from .pbw.classical import ExactMatrix, classical_generator
 from .pbw.verify import defining_relation_residuals
 
 
@@ -28,8 +27,8 @@ from .pbw.verify import defining_relation_residuals
 
 @dataclass
 class SlnRepMatrices:
-    """Vector-representation matrices as numpy arrays of dtype object holding
-    exact LaurentPoly entries."""
+    """Vector-representation matrices as ExactMatrix cells holding exact
+    LaurentPoly entries."""
 
     n: int
     E: list
@@ -76,22 +75,18 @@ def vector_rep_sln(n):
     """Standard vector representation; E_i, F_i elementary, K_i diagonal."""
     if n < 2:
         raise IndexOutOfRange(f"need n >= 2, got {n}")
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    one = LaurentPoly.one()
     qp, qm = LaurentPoly.q(1), LaurentPoly.q(-1)
 
-    def matrix(*cells):
-        m = np.full((n, n), zero, dtype=object)
-        for r, c, value in cells:
-            m[r, c] = value
-        return m
-
     def diagonal(i, first, second):
-        return matrix(*((r, r, one) for r in range(n)), (i, i, first), (i + 1, i + 1, second))
+        cells = {(r, r): one for r in range(n)}
+        cells[i, i], cells[i + 1, i + 1] = first, second
+        return ExactMatrix(cells)
 
     rep = SlnRepMatrices(
         n=n,
-        E=[matrix((i, i + 1, one)) for i in range(n - 1)],
-        F=[matrix((i + 1, i, one)) for i in range(n - 1)],
+        E=[ExactMatrix({(i, i + 1): one}) for i in range(n - 1)],
+        F=[ExactMatrix({(i + 1, i): one}) for i in range(n - 1)],
         K=[diagonal(i, qp, qm) for i in range(n - 1)],
         Kinv=[diagonal(i, qm, qp) for i in range(n - 1)],
     )
@@ -115,8 +110,7 @@ def verify_embedding(n):
     """Exact symbolic check of every defining relation on the tilde images,
     plus the q=1 specialization against the classical antisymmetric
     generators. Returns report entries with mode 'symbolic'. The rank is
-    checked first: the representation's self-check alone is O(n^2) products
-    of n x n object matrices."""
+    checked first, so a rank above MAX_RANK builds nothing."""
     check_rank(n)
     rep = vector_rep_sln(n)
     tildes = [tilde_I(j, rep) for j in range(2, n + 1)]
@@ -125,9 +119,8 @@ def verify_embedding(n):
         for name, _, resid in defining_relation_residuals(n, tildes, qnumber(2), matmul)
     ]
     for j, tilde in enumerate(tildes, start=2):
-        at_one = [[poly_at_one(entry) for entry in row] for row in tilde]
-        classical = classical_generator(n, j, j - 1).tolist()
-        checks.append((f"classical-limit I{j}{j - 1}", at_one == classical))
+        at_one = ExactMatrix({cell: poly_at_one(entry) for cell, entry in tilde.items()})
+        checks.append((f"classical-limit I{j}{j - 1}", at_one == classical_generator(n, j, j - 1)))
     return [
         {"check": f"embed[{n}] {name}", "mode": "symbolic", "pass": ok, "residual": None}
         for name, ok in checks
@@ -139,12 +132,14 @@ def verify_embedding(n):
 
 @dataclass
 class Sl2IrrepMatrices:
+    """Weight-basis irrep matrices as complex128 numpy arrays."""
+
     twoJ: int
     q: complex
-    E: np.ndarray
-    F: np.ndarray
-    qH: np.ndarray
-    qHinv: np.ndarray
+    E: object
+    F: object
+    qH: object
+    qHinv: object
 
 
 def sl2_irrep(twoJ, q):
@@ -155,6 +150,8 @@ def sl2_irrep(twoJ, q):
     composition map. Raises DegenerateQ when q is a root of unity of order
     at most twoJ+1 (the irrep degenerates there).
     """
+    import numpy as np
+
     if not isinstance(twoJ, int) or twoJ < 0:
         raise ValueError(f"twoJ must be a nonnegative integer, got {twoJ!r}")
     q = complex(q)
@@ -192,6 +189,8 @@ def sl2_irrep(twoJ, q):
 
 def psi_images(irrep):
     """X from the Cartan part, Y from (E - F) divided by qH + qH^-1."""
+    import numpy as np
+
     q = irrep.q
     denom = q - 1 / q
     if abs(denom) < 1e-12:
@@ -206,6 +205,8 @@ def psi_images(irrep):
 
 def verify_psi(twoJ, q, tol=1e-10):
     """Residuals of both rank-3 defining relations on the psi images."""
+    import numpy as np
+
     irrep = sl2_irrep(twoJ, q)
     X, Y = psi_images(irrep)
     q = irrep.q

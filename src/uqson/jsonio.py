@@ -127,7 +127,7 @@ def rep_from_json(data):
     row and col must be JSON integers, with 1 <= dim <= _MAX_DIM and
     0 <= row, col < dim, in strictly increasing (row, col) order (the order
     dump_rep writes), so no index is truncated or wraps and no cell is given
-    twice."""
+    twice. A file with no generator is refused too."""
     from .reps import SparseOperator  # parameter files never need the operator layer
 
     try:
@@ -152,6 +152,8 @@ def rep_from_json(data):
                     f"0..{dim - 1}, in strictly increasing (row, col) order"
                 )
             ops.append(SparseOperator(name=name, dim=dim, entries=entries))
+        if not ops:
+            raise ValueError("malformed representation file: no generators")
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed representation file: {exc}") from exc
     return ops

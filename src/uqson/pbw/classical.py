@@ -1,4 +1,5 @@
-"""Classical q=1 cross-check of the straightening rules.
+"""Classical q=1 cross-check of the straightening rules, and the exact sparse
+matrix it and the embedding check compute with.
 
 Independent oracle: the signed antisymmetric matrices
 J[k,l] := (-1)**(k-l-1) * (E_kl - E_lk) realize the q=1 structure constants
@@ -16,16 +17,45 @@ from ._rules import check_rank, classify_pair, gen_pairs, rule_table
 from .verify import defining_relation_residuals
 
 
-def classical_generator(n, k, l):
-    """Integer matrix J[k,l] on C^n (0-indexed rows/cols)."""
-    import numpy as np  # not at module level: importing uqson.pbw must not load numpy
+class ExactMatrix(dict):
+    """Exact sparse matrix {(row, col): nonzero entry} over ints or LaurentPoly,
+    with what the relation residuals use: @, +, -, scalar * (on the left),
+    any() and ==. No operation stores a zero entry or changes an operand."""
 
+    def __init__(self, cells=()):
+        super().__init__((cell, v) for cell, v in dict(cells).items() if v)
+
+    def __add__(self, other):
+        out = dict(self)
+        for cell, v in other.items():
+            out[cell] = out[cell] + v if cell in out else v
+        return ExactMatrix(out)
+
+    def __sub__(self, other):
+        return self + ExactMatrix({cell: -v for cell, v in other.items()})
+
+    def __rmul__(self, scalar):
+        return ExactMatrix({cell: scalar * v for cell, v in self.items()})
+
+    def __matmul__(self, other):
+        rows = {}
+        for (k, c), b in other.items():
+            rows.setdefault(k, []).append((c, b))
+        out = {}
+        for (r, k), a in self.items():
+            for c, b in rows.get(k, ()):
+                out[r, c] = out[r, c] + a * b if (r, c) in out else a * b
+        return ExactMatrix(out)
+
+    def any(self):
+        return bool(self)
+
+
+def classical_generator(n, k, l):
+    """Integer matrix J[k,l] on C^n as an ExactMatrix (0-indexed rows/cols)."""
     check_rank(n)
-    m = np.zeros((n, n), dtype=np.int64)
     sign = (-1) ** (k - l - 1)
-    m[k - 1, l - 1] = sign
-    m[l - 1, k - 1] = -sign
-    return m
+    return ExactMatrix({(k - 1, l - 1): sign, (l - 1, k - 1): -sign})
 
 
 def _coeff_at_one(raw):
@@ -43,8 +73,6 @@ def verify_classical_limit(n):
     Returns a report list of {"relation": str, "exact_zero": bool}; all rule
     coefficients must specialize to integers in {-1, 0, 1}.
     """
-    import numpy as np
-
     check_rank(n)
     pairs = gen_pairs(n)
     mats = [classical_generator(n, k, l) for k, l in pairs]
@@ -54,18 +82,18 @@ def verify_classical_limit(n):
     for key, entries in sorted(table.items()):
         xi, yi = key >> 8, key & 0xFF
         lhs = mats[xi] @ mats[yi]
-        acc = np.zeros((n, n), dtype=np.int64)
+        acc = ExactMatrix()
         for word, coeff in entries:
             c = _coeff_at_one(coeff)
             if c == 0:
                 continue
-            term = np.eye(n, dtype=np.int64)
-            for code in word:
+            term = mats[word[0]]  # a rule word holds one or two letters
+            for code in word[1:]:
                 term = term @ mats[code]
             acc = acc + c * term
         kind = classify_pair(pairs[xi], pairs[yi])
         name = f"rule {kind} I{pairs[xi][0]}{pairs[xi][1]}*I{pairs[yi][0]}{pairs[yi][1]}"
-        report.append({"relation": name, "exact_zero": bool(np.array_equal(lhs, acc))})
+        report.append({"relation": name, "exact_zero": lhs == acc})
 
     # Defining relations on the neighbor matrices directly.
     gens = [mats[pairs.index((i, i - 1))] for i in range(2, n + 1)]

@@ -215,6 +215,14 @@ def test_exit_5_on_missing_or_malformed_files(capsys, tmp_path):
                      "--out", str(tmp_path / "out.json"))
     assert code == 5
 
+    # a representation with no generator
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"dim": 3, "generators": []}')
+    for argv in (["rep-verify", "--rep", str(empty), "--q-order", "3"],
+                 ["rep-commutant", "--rep", str(empty)]):
+        code, _, _ = run(capsys, *argv)
+        assert code == 5
+
 
 def write_rep(path, entries):
     """A 2-dim representation file whose I21 has the given (row, col) entries."""
@@ -480,7 +488,7 @@ def test_cli_import_leaves_heavy_modules_unloaded():
 
 
 # the exact verbs, params-sample and rep-build run without numpy; rep-verify
-# needs it. Each verb's setup runs first, in its own process.
+# and psi-verify need it. Each verb's setup runs first, in its own process.
 VERB_ARGV = {
     "pbw-reduce": ["pbw-reduce", "--n", "3", "I32*I21"],
     "relations-verify": ["relations-verify", "--n", "4"],
@@ -490,6 +498,8 @@ VERB_ARGV = {
                       "--out", "{tmp}/omega.json"],
     "rep-build": ["rep-build", "--params", "{tmp}/omega.json", "--out", "{tmp}/rep.json"],
     "rep-verify": ["rep-verify", "--rep", "{tmp}/rep.json", "--q-order", "5"],
+    "embed-verify": ["embed-verify", "--n", "4"],
+    "psi-verify": ["psi-verify", "--twoj", "2", "--seed", "0", "--samples", "2"],
 }
 SETUP = {"rep-build": ["params-sample"], "rep-verify": ["params-sample", "rep-build"]}
 
@@ -506,6 +516,8 @@ PBW_FREE = {"params-sample", "rep-build"}
     ("params-sample", False),
     ("rep-build", False),
     ("rep-verify", True),
+    ("embed-verify", False),
+    ("psi-verify", True),
 ])
 def test_verb_loads_numpy_only_when_it_computes_with_it(tmp_path, verb, loads_numpy):
     for step in SETUP.get(verb, ()):

@@ -26,6 +26,8 @@ from uqson.djembed import (
     verify_psi,
 )
 from uqson.errors import DegenerateQ, IndexOutOfRange
+from uqson.pbw import MAX_RANK
+from uqson.pbw.classical import ExactMatrix
 from uqson.pbw.verify import all_pass
 
 from test_pbw import relations_with_generator
@@ -44,9 +46,9 @@ def test_vector_rep_constructs_with_self_checks():
 def test_tilde_matrix_is_antisymmetric_unit_pair():
     rep = vector_rep_sln(3)
     t2 = tilde_I(2, rep)
-    assert str(t2[1][0]) == "1"
-    assert str(t2[0][1]) == "-1"
-    entries = [str(t2[r][c]) for r in range(3) for c in range(3)]
+    assert str(t2[1, 0]) == "1"
+    assert str(t2[0, 1]) == "-1"
+    entries = [str(t2.get((r, c), LaurentPoly.zero())) for r in range(3) for c in range(3)]
     assert entries.count("0") == 7
     with pytest.raises(IndexOutOfRange):
         tilde_I(1, rep)
@@ -54,7 +56,7 @@ def test_tilde_matrix_is_antisymmetric_unit_pair():
         tilde_I(4, rep)
 
 
-@pytest.mark.parametrize("n,checks", [(3, 4), (4, 8), (5, 13)])
+@pytest.mark.parametrize("n,checks", [(3, 4), (4, 8), (5, 13), (12, 76), (MAX_RANK, 274)])
 def test_embedding_verifies_symbolically(n, checks):
     report = verify_embedding(n)
     assert len(report) == checks
@@ -71,13 +73,12 @@ def test_embedding_verifies_symbolically(n, checks):
 ])
 def test_embedding_flags_exactly_the_relations_of_a_wrong_tilde(monkeypatch, n, j, cell):
     # one entry of one tilde image off by 1: exactly the relations holding
-    # I[j,j-1] and its classical limit must fail, through the object-array
+    # I[j,j-1] and its classical limit must fail, through the sparse
     # residuals' .any()
     def perturbed(jj, rep):
         t = tilde_I(jj, rep)
         if jj == j:
-            t = t.copy()
-            t[cell] = t[cell] + LaurentPoly.one()
+            t = ExactMatrix({**t, cell: t.get(cell, LaurentPoly.zero()) + LaurentPoly.one()})
         return t
 
     monkeypatch.setattr(djembed, "tilde_I", perturbed)
