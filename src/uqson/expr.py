@@ -1,19 +1,23 @@
-"""Expression surface syntax for algebra elements.
+"""Expression surface syntax for algebra elements, evaluated as it is parsed.
 
 Grammar (precedence low to high: +/- then * then unary minus):
 
     expr    := term (('+' | '-') term)*
     term    := factor ('*' factor)*
-    factor  := '-' factor | primary
-    primary := '(' expr ')' | generator | scalar
-    generator := 'I' d d | 'Ip' d d | 'Im' d d          (row digit, col digit)
+    factor  := '-'* ('(' expr ')' | generator | scalar)
+    generator := ('I' | 'Ip' | 'Im') (d d | '[' INT ',' INT ']')   (row, col)
     scalar  := INT ('/' INT)? | 'q' ('^' qexp)?
     qexp    := INT | '(' '-'? INT ('/' '2')? ')'
 
 Ip/Im force the plus/minus variant of a composite generator; plain I names a
-neighbor generator or the ambient-variant composite. Parsing is
-rank-agnostic; index bounds are enforced at evaluation (or at parse time
-when a rank is supplied).
+neighbor generator or the ambient-variant composite. I[k,l] spells any
+generator and is the only spelling once k has two digits.
+
+There is no syntax tree: sums and products are folded into values as their
+operands are read, so only parentheses recurse. Checks run in this order:
+the rank, the characters, mixed Ip/Im markers, then the grammar and the
+generator indices from left to right. Nesting deeper than the interpreter's
+recursion limit allows is an ExpressionSyntaxError.
 """
 
 from __future__ import annotations
@@ -24,11 +28,12 @@ from fractions import Fraction
 
 from .coeffring import LaurentPoly
 from .errors import ExpressionSyntaxError, IndexOutOfRange, VariantMismatch
-from .pbw import MINUS, PLUS
+from .pbw import MINUS, PLUS, check_rank
 from .pbw.algebra import AlgebraElement
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<gen>I[pm]?\d{2})|(?P<num>\d+)|(?P<q>q)|(?P<op>[-+*/^()]))"
+    r"\s*(?:(?P<gen>I[pm]?(?:\d{2}|\[\d+,\d+\]))|(?P<num>\d+)|(?P<q>q)"
+    r"|(?P<op>[-+*/^()]))"
 )
 
 
@@ -61,54 +66,31 @@ def tokenize(src):
     return tokens
 
 
-# -- AST -----------------------------------------------------------------------
+def infer_variant(tokens, default=PLUS):
+    """Variant from explicit Ip/Im markers; mixing both is an error."""
+    found = {t.text[1] for t in tokens if t.kind == "gen" and t.text[1] in "pm"}
+    if found == {"p", "m"}:
+        raise VariantMismatch("expression mixes plus- and minus-variant generators")
+    if "p" in found:
+        return PLUS
+    if "m" in found:
+        return MINUS
+    return default
 
 
-@dataclass(frozen=True)
-class Gen:
-    row: int
-    col: int
-    marker: str  # "", "p", or "m"
-    column: int
+class _Evaluator:
+    """Recursive descent over the tokens; each rule returns its value, a
+    LaurentPoly for scalar subexpressions and an AlgebraElement otherwise."""
 
-
-@dataclass(frozen=True)
-class Scalar:
-    value: LaurentPoly
-
-
-@dataclass(frozen=True)
-class Neg:
-    inner: object
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: object
-    right: object
-
-
-class _Parser:
-    def __init__(self, tokens, n=None):
+    def __init__(self, tokens, n, variant):
         self.tokens = tokens
         self.i = 0
         self.n = n
+        self.variant = variant
 
     def _fail(self, message, column=None):
         if column is None:
-            column = self.tokens[-1].column if self.tokens else 1
+            column = self.tokens[-1].column
         raise ExpressionSyntaxError(message, column=column)
 
     def peek(self):
@@ -136,63 +118,56 @@ class _Parser:
 
     # grammar rules
 
-    def parse(self):
-        node = self.expr()
+    def evaluate(self):
+        try:
+            value = self.expr()
+        except RecursionError:
+            tok = self.peek()
+            self._fail("parentheses nest too deeply",
+                       column=tok.column if tok is not None else None)
         tok = self.peek()
         if tok is not None:
             self._fail(f"unexpected {tok.text!r}", column=tok.column)
-        return node
+        if isinstance(value, LaurentPoly):
+            return AlgebraElement.scalar(self.n, value, self.variant)
+        return value
 
     def expr(self):
-        node = self.term()
+        value = self.term()
         while self.at_op("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = Add(node, rhs) if op.text == "+" else Sub(node, rhs)
-        return node
+            if self.take().text == "+":
+                value = value + self.term()
+            else:
+                value = value - self.term()
+        return value
 
     def term(self):
-        node = self.factor()
+        value = self.factor()
         while self.at_op("*"):
             self.take()
-            node = Mul(node, self.factor())
-        return node
+            value = value * self.factor()
+        return value
 
     def factor(self):
-        if self.at_op("-"):
+        negate = False
+        while self.at_op("-"):
             self.take()
-            return Neg(self.factor())
-        return self.primary()
-
-    def primary(self):
-        tok = self.peek()
-        if tok is None:
-            self._fail("unexpected end of input")
+            negate = not negate
+        tok = self.take()
         if tok.kind == "op" and tok.text == "(":
-            self.take()
-            node = self.expr()
-            closing = self.peek()
-            if closing is None:
+            value = self.expr()
+            if self.peek() is None:
                 self._fail("unclosed parenthesis", column=tok.column)
             self.expect_op(")")
-            return node
+        else:
+            value = self._primary(tok)
+        return -value if negate else value
+
+    def _primary(self, tok):
+        """Value of a generator or scalar starting at the taken token."""
         if tok.kind == "gen":
-            self.take()
-            text = tok.text
-            marker = text[1] if text[1] in "pm" else ""
-            digits = text[1 + len(marker):]
-            row, col = int(digits[0]), int(digits[1])
-            if row <= col or col < 1:
-                self._fail(
-                    f"generator {text!r} needs row > col >= 1", column=tok.column
-                )
-            if self.n is not None and row > self.n:
-                raise IndexOutOfRange(
-                    f"generator {text!r} exceeds rank {self.n}"
-                )
-            return Gen(row, col, marker, tok.column)
+            return self._generator(tok)
         if tok.kind == "num":
-            self.take()
             value = Fraction(int(tok.text))
             if self.at_op("/"):
                 self.take()
@@ -202,14 +177,26 @@ class _Parser:
                 if int(den.text) == 0:
                     self._fail("zero denominator", column=den.column)
                 value = Fraction(int(tok.text), int(den.text))
-            return Scalar(LaurentPoly.const(value))
+            return LaurentPoly.const(value)
         if tok.kind == "q":
-            self.take()
             if not self.at_op("^"):
-                return Scalar(LaurentPoly.q(1))
+                return LaurentPoly.q(1)
             self.take()
-            return Scalar(LaurentPoly.from_exp2({self._q_exponent2(): 1}))
+            return LaurentPoly.from_exp2({self._q_exponent2(): 1})
         self._fail(f"unexpected {tok.text!r}", column=tok.column)
+
+    def _generator(self, tok):
+        text = tok.text
+        indices = text[2:] if text[1] in "pm" else text[1:]
+        if indices[0] == "[":
+            row, col = map(int, indices[1:-1].split(","))
+        else:
+            row, col = int(indices[0]), int(indices[1])
+        if row <= col or col < 1:
+            self._fail(f"generator {text!r} needs row > col >= 1", column=tok.column)
+        if row > self.n:
+            raise IndexOutOfRange(f"generator {text!r} exceeds rank {self.n}")
+        return AlgebraElement.generator(self.n, row, col, self.variant)
 
     def _q_exponent2(self):
         """Doubled exponent after 'q^': INT or (-INT), (INT/2), (-INT/2)."""
@@ -243,72 +230,11 @@ class _Parser:
         self._fail(f"expected an exponent, found {tok.text!r}", column=tok.column)
 
 
-def parse_expression(src, n=None):
-    """Parse to an AST; rank bounds are checked when n is given."""
-    if not src or not src.strip():
-        raise ExpressionSyntaxError("empty expression", column=1)
+def evaluate_expression(src, n, variant=PLUS):
+    """Normal-form AlgebraElement of the expression text at rank n."""
+    check_rank(n)
     tokens = tokenize(src)
     if not tokens:
         raise ExpressionSyntaxError("empty expression", column=1)
-    return _Parser(tokens, n=n).parse()
-
-
-def _collect_markers(node, found):
-    if isinstance(node, Gen):
-        if node.marker:
-            found.add(node.marker)
-    elif isinstance(node, Neg):
-        _collect_markers(node.inner, found)
-    elif isinstance(node, (Mul, Add, Sub)):
-        _collect_markers(node.left, found)
-        _collect_markers(node.right, found)
-
-
-def infer_variant(node, default=PLUS):
-    """Variant from explicit Ip/Im markers; mixing both is an error."""
-    found = set()
-    _collect_markers(node, found)
-    if found == {"p", "m"}:
-        raise VariantMismatch("expression mixes plus- and minus-variant generators")
-    if "p" in found:
-        return PLUS
-    if "m" in found:
-        return MINUS
-    return default
-
-
-def _eval(node, n, variant):
-    if isinstance(node, Gen):
-        return AlgebraElement.generator(n, node.row, node.col, variant)
-    if isinstance(node, Scalar):
-        return node.value
-    if isinstance(node, Neg):
-        return -_eval(node.inner, n, variant)
-    if isinstance(node, Mul):
-        return _eval(node.left, n, variant) * _eval(node.right, n, variant)
-    if isinstance(node, Add):
-        return _lift(_eval(node.left, n, variant), n, variant) + _eval(
-            node.right, n, variant
-        )
-    if isinstance(node, Sub):
-        return _lift(_eval(node.left, n, variant), n, variant) - _eval(
-            node.right, n, variant
-        )
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _lift(value, n, variant):
-    if isinstance(value, LaurentPoly):
-        return AlgebraElement.scalar(n, value, variant)
-    return value
-
-
-def evaluate_expression(src_or_ast, n, variant=PLUS):
-    """Evaluate source text or an AST to a normal-form AlgebraElement."""
-    node = (
-        parse_expression(src_or_ast, n)
-        if isinstance(src_or_ast, str)
-        else src_or_ast
-    )
-    use = infer_variant(node, default=variant)
-    return _lift(_eval(node, n, use), n, use)
+    use = infer_variant(tokens, default=variant)
+    return _Evaluator(tokens, n, use).evaluate()

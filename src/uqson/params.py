@@ -16,6 +16,8 @@ from .errors import DegenerateParameter, ParameterSamplingError, RankMismatch
 
 # denominators with magnitude below this are treated as vanished
 _ZERO_TOL = 1e-12
+# how far sampled and checked parameters keep from the degenerate values
+_GENERIC_MARGIN = 1e-3
 
 
 def variable_slots(n):
@@ -108,12 +110,12 @@ def _dist_to_half_integers(z):
     return abs(shifted - round(shifted.real))
 
 
-def assert_generic(omega, margin=1e-3):
+def assert_generic(omega):
     """Check the h genericity preconditions with a safety margin.
 
-    Pairwise sums and differences within each h row must stay `margin` away
-    from the integers; the h_{p,2p+1} entries must stay `margin` away from
-    half-integers; c values must stay away from zero. Raises
+    Pairwise sums and differences within each h row must stay _GENERIC_MARGIN
+    away from the integers; the h_{p,2p+1} entries must stay _GENERIC_MARGIN
+    away from half-integers; c values must stay away from zero. Raises
     DegenerateParameter naming the first violated condition.
     """
     n = omega.n
@@ -122,36 +124,36 @@ def assert_generic(omega, margin=1e-3):
         for a in range(len(row)):
             for b in range(a + 1, len(row)):
                 (ia, ha), (ib, hb) = row[a], row[b]
-                if _dist_to_integers(ha - hb) <= margin:
+                if _dist_to_integers(ha - hb) <= _GENERIC_MARGIN:
                     raise DegenerateParameter(
-                        f"h({ia},{s}) - h({ib},{s}) is within {margin} of an integer"
+                        f"h({ia},{s}) - h({ib},{s}) is within {_GENERIC_MARGIN} of an integer"
                     )
-                if _dist_to_integers(ha + hb) <= margin:
+                if _dist_to_integers(ha + hb) <= _GENERIC_MARGIN:
                     raise DegenerateParameter(
-                        f"h({ia},{s}) + h({ib},{s}) is within {margin} of an integer"
+                        f"h({ia},{s}) + h({ib},{s}) is within {_GENERIC_MARGIN} of an integer"
                     )
     for (i, s), value in omega.h.items():
-        if s == 2 * i + 1 and _dist_to_half_integers(value) <= margin:
+        if s == 2 * i + 1 and _dist_to_half_integers(value) <= _GENERIC_MARGIN:
             raise DegenerateParameter(
-                f"h({i},{s}) is within {margin} of a half-integer"
+                f"h({i},{s}) is within {_GENERIC_MARGIN} of a half-integer"
             )
     for key, value in omega.c.items():
-        if abs(value) <= margin:
-            raise DegenerateParameter(f"c{key} is within {margin} of zero")
+        if abs(value) <= _GENERIC_MARGIN:
+            raise DegenerateParameter(f"c{key} is within {_GENERIC_MARGIN} of zero")
     return True
 
 
-def _sample_real_part(rng, margin=1e-3):
+def _sample_real_part(rng):
     while True:
         x = rng.random()
-        if min(abs(x), abs(x - 0.5), abs(x - 1.0)) > margin:
+        if min(abs(x), abs(x - 0.5), abs(x - 1.0)) > _GENERIC_MARGIN:
             return x
 
 
-def _sample_imag_part(rng, used, margin=1e-3):
+def _sample_imag_part(rng, used):
     for _ in range(1000):
         y = rng.uniform(0.05, 0.25)
-        if all(abs(y - u) > margin for u in used):
+        if all(abs(y - u) > _GENERIC_MARGIN for u in used):
             used.append(y)
             return y
     raise ParameterSamplingError("could not separate imaginary parts")

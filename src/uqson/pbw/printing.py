@@ -1,24 +1,25 @@
 """Canonical text form for algebra elements.
 
 Monomials are listed in PBW order (bytes-lexicographic on code words, so the
-scalar term comes first); each coefficient prints with ascending q-exponents.
-The output is stable byte-for-byte and round-trips through the expression
-parser.
+scalar term comes first); each coefficient prints with ascending q-exponents,
+through coeffring.format_laurent. Generators with a two-digit row print as
+I[k,l]. The output is stable byte-for-byte and round-trips through
+uqson.expr.evaluate_expression at every rank.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ..coeffring import format_laurent, format_qpower, format_rational, join_signed
+from ..coeffring import format_laurent, join_signed
 from ._rules import MINUS, gen_pairs
 
 
 def generator_name(k, l, variant):
-    """I<k><l> for neighbors and plus-variant elements, Im<k><l> for minus."""
-    if variant == MINUS and k > l + 1:
-        return f"Im{k}{l}"
-    return f"I{k}{l}"
+    """I<k><l> for neighbors and plus-variant elements, Im<k><l> for minus;
+    I[k,l] and Im[k,l] once k has two digits, so the parser reads it back."""
+    prefix = "Im" if variant == MINUS and k > l + 1 else "I"
+    return f"{prefix}{k}{l}" if k < 10 else f"{prefix}[{k},{l}]"
 
 
 @lru_cache(maxsize=None)
@@ -29,26 +30,14 @@ def _generator_names(n, variant):
 
 def _term_piece(items, mono):
     """(negative, body) for one term; sign is pulled out of single-term coeffs."""
+    if len(items) > 1:
+        coeff = "(" + format_laurent(items) + ")"
+        return False, f"{coeff}*{mono}" if mono else coeff
+    e2, c = items[0]
+    coeff = format_laurent(((e2, abs(c)),))
     if not mono:
-        if len(items) == 1:
-            e2, c = items[0]
-            return c < 0, format_laurent(((e2, abs(c)),))
-        return False, "(" + format_laurent(items) + ")"
-    if len(items) == 1:
-        e2, c = items[0]
-        neg = c < 0
-        mag = abs(c)
-        factors = []
-        if e2 == 0:
-            if mag != 1:
-                factors.append(format_rational(mag))
-        else:
-            if mag != 1:
-                factors.append(format_rational(mag))
-            factors.append(format_qpower(e2))
-        factors.append(mono)
-        return neg, "*".join(factors)
-    return False, "(" + format_laurent(items) + ")*" + mono
+        return c < 0, coeff
+    return c < 0, mono if coeff == "1" else f"{coeff}*{mono}"
 
 
 def element_to_str(el):

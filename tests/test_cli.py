@@ -44,6 +44,20 @@ def test_pbw_reduce_infers_minus_variant(capsys):
     assert out == "Im31\n"
 
 
+def test_pbw_reduce_names_two_digit_generators(capsys):
+    # from rank 10 on, I1110 would read back as other tokens
+    code, out, _ = run(capsys, "pbw-reduce", "--n", "12", "I[11,10]*I21")
+    assert (code, out) == (0, "I21*I[11,10]\n")
+    code, out, _ = run(capsys, "pbw-reduce", "--n", "12", "I[12,10]*I[11,10]")
+    assert (code, out) == (0, "q^(-1)*I[11,10]*I[12,10] + q^(-1/2)*I[12,11]\n")
+
+
+def test_pbw_reduce_folds_a_long_sum(capsys):
+    # a sum is folded term by term, so its length does not nest any call
+    code, out, _ = run(capsys, "pbw-reduce", "--n", "3", "+".join(["I21"] * 1500))
+    assert (code, out) == (0, "1500*I21\n")
+
+
 def test_relations_verify_summary(capsys):
     code, out, _ = run(capsys, "relations-verify", "--n", "4")
     assert code == 0
@@ -196,6 +210,9 @@ def test_exit_4_on_structural_misuse(capsys):
     assert "exceeds rank 3" in err
     code, _, _ = run(capsys, "pbw-reduce", "--n", "3", "Ip31*Im21")
     assert code == 4
+    # the rank and mixed Ip/Im markers are checked before the grammar
+    assert run(capsys, "pbw-reduce", "--n", "2", "I21*(")[0] == 4
+    assert run(capsys, "pbw-reduce", "--n", "3", "Ip31*Im21*(")[0] == 4
 
 
 def test_exit_5_on_missing_or_malformed_files(capsys, tmp_path):
@@ -459,6 +476,14 @@ def test_rep_verify_reports_nan_residuals_with_clean_stderr(tmp_path):
     proc = run_process([sys.executable, "-m", "uqson.cli", "rep-verify", "--rep", str(rep),
                         "--q-order", "3"])
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, NAN_VERDICT, "")
+
+
+def test_deep_nesting_is_a_syntax_error_without_traceback():
+    expression = "(" * 1101 + "I21" + ")" * 1101
+    proc = run_process([sys.executable, "-m", "uqson.cli", "pbw-reduce", "--n", "3", expression])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: parentheses nest too deeply (column ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_module_invocation_has_clean_stderr():

@@ -11,22 +11,17 @@ import pytest
 
 from uqson.coeffring import HALF, LaurentPoly
 from uqson.errors import ExpressionSyntaxError, IndexOutOfRange, VariantMismatch
-from uqson.expr import (
-    Gen,
-    Mul,
-    Scalar,
-    Sub,
-    evaluate_expression,
-    infer_variant,
-    parse_expression,
-    tokenize,
-)
+from uqson.expr import evaluate_expression, infer_variant, tokenize
 from uqson.pbw import MINUS, PLUS, AlgebraElement, bracket_generator
 from uqson.pbw.fuzz import random_monomial
 
 
 def gen(n, k, l, variant=PLUS):
     return AlgebraElement.generator(n, k, l, variant)
+
+
+def scalar(value, n=3):
+    return AlgebraElement.scalar(n, value)
 
 
 def test_tokenizer_layout():
@@ -43,52 +38,41 @@ def test_tokenizer_rejects_junk_with_column():
     assert err.value.column == 5
 
 
-def test_parse_product_structure():
-    node = parse_expression("I32*I21", n=3)
-    assert isinstance(node, Mul)
-    assert node.left == Gen(3, 2, "", 1)
-    assert node.right == Gen(2, 1, "", 5)
-
-
 def test_parse_precedence_binds_product_tighter():
-    node = parse_expression("1/2 - I21*I21")
-    assert isinstance(node, Sub)
-    assert isinstance(node.left, Scalar)
-    assert node.left.value == LaurentPoly.const(Fraction(1, 2))
-    assert isinstance(node.right, Mul)
+    out = evaluate_expression("1/2 - I21*I21", 3)
+    assert out == scalar(LaurentPoly.const(Fraction(1, 2))) - gen(3, 2, 1) * gen(3, 2, 1)
 
 
 def test_parse_q_power_forms():
-    assert parse_expression("q").value == LaurentPoly.q(1)
-    assert parse_expression("q^2").value == LaurentPoly.q(2)
-    assert parse_expression("q^(1/2)").value == LaurentPoly.q(HALF)
-    assert parse_expression("q^(-3/2)").value == LaurentPoly.q(Fraction(-3, 2))
-    assert parse_expression("q^(-2)").value == LaurentPoly.q(-2)
+    assert evaluate_expression("q", 3) == scalar(LaurentPoly.q(1))
+    assert evaluate_expression("q^2", 3) == scalar(LaurentPoly.q(2))
+    assert evaluate_expression("q^(1/2)", 3) == scalar(LaurentPoly.q(HALF))
+    assert evaluate_expression("q^(-3/2)", 3) == scalar(LaurentPoly.q(Fraction(-3, 2)))
+    assert evaluate_expression("q^(-2)", 3) == scalar(LaurentPoly.q(-2))
 
 
 def test_syntax_error_columns():
     # an unclosed parenthesis points back at the opener, not at EOF
     for src, col in [("I43*(", 5), ("I43*I21@", 8), ("", 1), ("(I21", 1), ("3/", 2), ("q^", 2)]:
         with pytest.raises(ExpressionSyntaxError) as err:
-            parse_expression(src, n=4)
+            evaluate_expression(src, 4)
         assert err.value.column == col, src
 
 
 def test_generator_validation():
     with pytest.raises(ExpressionSyntaxError):
-        parse_expression("I12", n=3)  # row must exceed column
+        evaluate_expression("I12", 3)  # row must exceed column
     with pytest.raises(IndexOutOfRange):
-        parse_expression("I43", n=3)
-    parse_expression("I43", n=4)
-    parse_expression("I43")  # no rank bound without n
+        evaluate_expression("I43", 3)
+    assert evaluate_expression("I43", 4) == gen(4, 4, 3)
 
 
 def test_variant_inference_and_mixing():
-    assert infer_variant(parse_expression("I21*I32")) == PLUS
-    assert infer_variant(parse_expression("Ip31")) == PLUS
-    assert infer_variant(parse_expression("Im31")) == MINUS
+    assert infer_variant(tokenize("I21*I32")) == PLUS
+    assert infer_variant(tokenize("Ip31")) == PLUS
+    assert infer_variant(tokenize("Im31")) == MINUS
     with pytest.raises(VariantMismatch):
-        infer_variant(parse_expression("Ip31*Im21"))
+        infer_variant(tokenize("Ip31*Im21"))
 
 
 def test_evaluate_golden_product():
@@ -121,26 +105,29 @@ def test_unary_minus_and_parentheses():
 
 
 def test_division_only_for_numeric_literals():
-    assert parse_expression("3/4").value == LaurentPoly.const(Fraction(3, 4))
+    assert evaluate_expression("3/4", 3) == scalar(LaurentPoly.const(Fraction(3, 4)))
     with pytest.raises(ExpressionSyntaxError):
-        parse_expression("I21/2")
+        evaluate_expression("I21/2", 3)
     with pytest.raises(ExpressionSyntaxError):
-        parse_expression("3/0")
+        evaluate_expression("3/0", 3)
 
 
 def test_print_parse_round_trip_on_random_elements():
-    rng = random.Random(2718)
-    for _ in range(50):
-        e = random_monomial(rng, 4, 3) * random_monomial(rng, 4, 2) - random_monomial(rng, 4, 2)
-        if e.is_zero():
-            continue
-        assert evaluate_expression(str(e), 4) == e
+    # rank 12 prints generators with a two-digit row as I[k,l]
+    for n in (4, 12):
+        rng = random.Random(2718)
+        for _ in range(50):
+            e = random_monomial(rng, n, 3) * random_monomial(rng, n, 2) - random_monomial(rng, n, 2)
+            if e.is_zero():
+                continue
+            assert evaluate_expression(str(e), n) == e
 
 
 def test_print_parse_round_trip_minus_variant():
-    rng = random.Random(577)
-    for _ in range(20):
-        e = random_monomial(rng, 4, 2, MINUS) * random_monomial(rng, 4, 2, MINUS)
-        if e.is_zero():
-            continue
-        assert evaluate_expression(str(e), 4, variant=MINUS) == e
+    for n in (4, 12):
+        rng = random.Random(577)
+        for _ in range(20):
+            e = random_monomial(rng, n, 2, MINUS) * random_monomial(rng, n, 2, MINUS)
+            if e.is_zero():
+                continue
+            assert evaluate_expression(str(e), n, variant=MINUS) == e
