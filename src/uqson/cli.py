@@ -133,7 +133,7 @@ def cmd_rep_build(args):
 def cmd_rep_verify(args):
     from . import jsonio, reps
 
-    ops = jsonio.rep_from_json(jsonio.load_json(args.rep))
+    ops = jsonio.load_rep(args.rep)
     root = RootOfUnity(args.q_order, args.q_t)
     dim = ops[0].dim
     tol = args.tol if args.tol is not None else _default_rep_tol(dim)
@@ -156,7 +156,7 @@ def cmd_rep_verify(args):
 def cmd_rep_commutant(args):
     from . import jsonio, reps
 
-    ops = jsonio.rep_from_json(jsonio.load_json(args.rep))
+    ops = jsonio.load_rep(args.rep)
     cdim = reps.commutant_dimension(ops)
     print(f"commutant-dim: {cdim}")
     print(f"rep-commutant: {'PASS' if cdim == 1 else 'FAIL'} (irreducible iff 1)")

@@ -14,7 +14,9 @@ neighbor generator or the ambient-variant composite. I[k,l] spells any
 generator and is the only spelling once k has two digits.
 
 There is no syntax tree: sums and products are folded into values as their
-operands are read, so only parentheses recurse. Checks run in this order:
+operands are read, so only parentheses recurse. A sum with an element among
+its parts is added into one term map, so a sum of N terms takes linear, not
+quadratic, time. Checks run in this order:
 the rank, the characters, mixed Ip/Im markers, then the grammar and the
 generator indices from left to right. Nesting deeper than the interpreter's
 recursion limit allows is an ExpressionSyntaxError.
@@ -29,7 +31,7 @@ from fractions import Fraction
 from .coeffring import LaurentPoly
 from .errors import ExpressionSyntaxError, IndexOutOfRange, VariantMismatch
 from .pbw import MINUS, PLUS, check_rank
-from .pbw.algebra import AlgebraElement
+from .pbw.algebra import AlgebraElement, add_into
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<gen>I[pm]?(?:\d{2}|\[\d+,\d+\]))|(?P<num>\d+)|(?P<q>q)"
@@ -134,12 +136,17 @@ class _Evaluator:
 
     def expr(self):
         value = self.term()
+        terms = None  # the sum's own term map, once an element is among its parts
         while self.at_op("+", "-"):
-            if self.take().text == "+":
-                value = value + self.term()
-            else:
-                value = value - self.term()
-        return value
+            negate = self.take().text == "-"
+            part = self.term()
+            if terms is None and isinstance(value, LaurentPoly) and isinstance(part, LaurentPoly):
+                value = value - part if negate else value + part
+                continue
+            if terms is None:
+                terms = add_into({}, value)
+            add_into(terms, part, negate)
+        return value if terms is None else AlgebraElement(self.n, self.variant, _terms=terms)
 
     def term(self):
         value = self.factor()

@@ -2,6 +2,8 @@
 
 All writers are byte-deterministic for equal inputs: keys sorted, two-space
 indent, trailing newline. Complex numbers are {"re": float, "im": float}.
+load_rep reads a representation file with each such object made a checked
+complex as soon as it is parsed, so no dict per entry outlives the parse.
 """
 
 from __future__ import annotations
@@ -127,7 +129,36 @@ def rep_from_json(data):
     row and col must be JSON integers, with 1 <= dim <= _MAX_DIM and
     0 <= row, col < dim, in strictly increasing (row, col) order (the order
     dump_rep writes), so no index is truncated or wraps and no cell is given
-    twice. A file with no generator is refused too."""
+    twice. Each name must be a JSON string. A file with no generator is
+    refused too."""
+    return _operators(data, complex_from_json)
+
+
+def _parsed_complex(value):
+    """An entry value as load_rep's parse left it: a complex made by its
+    hook, or the object the hook passed over, which complex_from_json
+    refuses with the message rep_from_json gives."""
+    return value if type(value) is complex else complex_from_json(value)
+
+
+def _complex_hook(obj):
+    return complex_from_json(obj) if obj.keys() == {"re", "im"} else obj
+
+
+def load_rep(path):
+    """Operators from a representation file, with rep_from_json's checks.
+    The parse turns each {"im", "re"} object into a complex at once, through
+    complex_from_json's checks; a refusal there is a malformed file too."""
+    try:
+        data = load_json(path, object_hook=_complex_hook)
+    except TypeError as exc:
+        raise ValueError(f"malformed representation file: {exc}") from exc
+    return _operators(data, _parsed_complex)
+
+
+def _operators(data, value_of):
+    """The operators of a parsed representation file, each entry value
+    passed through value_of; see rep_from_json for the checks."""
     from .reps import SparseOperator  # parameter files never need the operator layer
 
     try:
@@ -138,9 +169,11 @@ def rep_from_json(data):
             )
         ops = []
         for gen in data["generators"]:
-            name = str(gen["name"])
+            name = gen["name"]
+            if type(name) is not str:
+                raise TypeError(f"name must be a string, got {name!r}")
             entries = tuple(
-                (row, col, complex_from_json(value)) for row, col, value in gen["entries"]
+                (row, col, value_of(value)) for row, col, value in gen["entries"]
             )
             cells = [(row, col) for row, col, _ in entries]
             if not all(
@@ -168,6 +201,6 @@ def dump_json(obj, path):
         fh.write(dumps_json(obj))
 
 
-def load_json(path):
+def load_json(path, object_hook=None):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_hook=object_hook)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..coeffring import LaurentPoly, _as_rational, cadd, cmul
+from ..coeffring import LaurentPoly, _as_rational, cmul
 from ..errors import IndexOutOfRange, RankMismatch, VariantMismatch
 from . import _straighten
 from ._rules import PLUS, VARIANTS, check_rank, gen_code, gen_pairs, rule_table
@@ -30,6 +30,35 @@ def _coeff_raw(value):
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return {0: _as_rational(value)} if value else {}
     return None
+
+
+def add_into(terms, value, negate=False):
+    """Add an element or a scalar, negated if `negate`, into the term map
+    `terms`, which the caller owns, and return it. No dict of `value` is
+    stored or changed: a new word gets a copy of its coefficients, and a
+    stored word's coefficients are added to in place, in the order cadd
+    adds them. So N parts added into one map cost their total size, where a
+    chain of N - 1 binary sums copies the running sum at each step."""
+    parts = value._terms if isinstance(value, AlgebraElement) else {b"": _coeff_raw(value)}
+    for w, c in parts.items():
+        cur = terms.get(w)
+        if cur is None:
+            if c:
+                terms[w] = {e: -x for e, x in c.items()} if negate else dict(c)
+            continue
+        for e, x in c.items():
+            s = cur.get(e)
+            if s is None:
+                cur[e] = -x if negate else x
+            else:
+                s = s - x if negate else s + x
+                if s:
+                    cur[e] = s
+                else:
+                    del cur[e]
+        if not cur:
+            del terms[w]
+    return terms
 
 
 class AlgebraElement:
@@ -137,22 +166,17 @@ class AlgebraElement:
 
     __hash__ = None
 
+    def _plus(self, other, negate):
+        if isinstance(other, AlgebraElement):
+            self._check_compatible(other)
+        elif _coeff_raw(other) is None:
+            return NotImplemented
+        return AlgebraElement(
+            self.n, self.variant, _terms=add_into(add_into({}, self), other, negate)
+        )
+
     def __add__(self, other):
-        if not isinstance(other, AlgebraElement):
-            raw = _coeff_raw(other)
-            if raw is None:
-                return NotImplemented
-            other = AlgebraElement(self.n, self.variant, _terms={b"": raw} if raw else {})
-        self._check_compatible(other)
-        out = {w: dict(c) for w, c in self._terms.items()}
-        for w, c in other._terms.items():
-            cur = out.get(w)
-            merged = dict(c) if cur is None else cadd(cur, c)
-            if merged:
-                out[w] = merged
-            else:
-                out.pop(w, None)
-        return AlgebraElement(self.n, self.variant, _terms=out)
+        return self._plus(other, False)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -165,15 +189,7 @@ class AlgebraElement:
         )
 
     def __sub__(self, other):
-        if isinstance(other, AlgebraElement):
-            return self.__add__(other.__neg__())
-        raw = _coeff_raw(other)
-        if raw is None:
-            return NotImplemented
-        return self.__add__(AlgebraElement(
-            self.n, self.variant,
-            _terms={b"": {e: -c for e, c in raw.items()}} if raw else {},
-        ))
+        return self._plus(other, True)
 
     def __rsub__(self, other):
         return self.__neg__().__add__(other)

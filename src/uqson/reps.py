@@ -11,8 +11,10 @@ tableau, so its matrix is one small local matrix tiled over the other digits.
 Building needs only the standard library; numpy is imported by the code that
 computes with matrices (to_dense, to_csr, the residual and the commutant).
 The residual above _DENSE_RESIDUAL_MAX_DIM multiplies _FlatSparse matrices,
-which are numpy code. scipy is imported only by to_csr, which runs only in
-the sparse Sylvester solve of the commutant.
+which are numpy code, block by block over the stored rows, so its working
+memory follows _RESIDUAL_BLOCK_TERMS and not the dimension. scipy is
+imported only by to_csr, which runs only in the sparse Sylvester solve of
+the commutant.
 """
 
 from __future__ import annotations
@@ -310,15 +312,23 @@ class _FlatSparse:
     and c * X, and abs(X), the absolute values of the stored entries. Memory
     is O(nnz), with no array of length d, and scipy is not needed.
 
+    A row block (see row_block) holds the cells of some rows of a whole
+    matrix and a reference to it. As a left operand and in sums it is those
+    rows; as the right operand of @ it is the whole matrix, so that
+    X[I] @ Y[I] gives (X @ Y)[I].
+
     Every value is formed from real operations on its parts: numpy's complex
     multiply may fuse them (FMA), so that x * y and y * x differ in the last
     bit, and a commutator of commuting operators would not cancel exactly.
     """
 
-    __slots__ = ("dim", "cells", "re", "im")
+    __slots__ = ("dim", "cells", "re", "im", "whole", "_index")
 
-    def __init__(self, dim, cells, re, im):
+    def __init__(self, dim, cells, re, im, whole=None):
+        # whole is None for a whole matrix: a reference to itself would be a
+        # cycle, and every temporary would wait for the garbage collector
         self.dim, self.cells, self.re, self.im = dim, cells, re, im
+        self.whole, self._index = whole, None
 
     @staticmethod
     def from_operator(op):
@@ -331,19 +341,38 @@ class _FlatSparse:
         vals = np.array(vals, dtype=np.complex128)
         return _summed(op.dim, cells, vals.real.copy(), vals.imag.copy())
 
+    def row_index(self):
+        """(keys, bounds, cols) of the whole matrix, built on first use and
+        kept: stored row keys[t] holds the cells bounds[t]:bounds[t + 1],
+        whose columns are cols. The last key, d, is past every row."""
+        whole = self if self.whole is None else self.whole
+        if whole._index is None:
+            import numpy as np
+
+            d = whole.dim
+            rows = whole.cells // d
+            bounds = np.flatnonzero(np.diff(rows, prepend=-1, append=d))
+            whole._index = (np.append(rows[bounds[:-1]], d),
+                            np.append(bounds, len(rows)), whole.cells % d)
+        return whole._index
+
+    def row_block(self, first, stop):
+        """The rows first..stop-1 of this whole matrix, as views."""
+        keys, bounds, _ = self.row_index()
+        lo, hi = bounds[keys.searchsorted([first, stop])]
+        return _FlatSparse(self.dim, self.cells[lo:hi], self.re[lo:hi], self.im[lo:hi],
+                           whole=self)
+
     def __matmul__(self, other):
         """Gustavson's row-by-row product: each entry (r, m) of self meets
-        row m of other, found by binary search among other's stored rows."""
+        row m of other's whole matrix, found by binary search among its
+        stored rows."""
         import numpy as np
 
-        d = self.dim
-        mids = self.cells % d
-        # stored row keys[t] of other holds its cells bounds[t]:bounds[t + 1];
-        # the last key, d, is past every row and matches no entry of self
-        rows = other.cells // d
-        bounds = np.flatnonzero(np.diff(rows, prepend=-1, append=d))
-        keys = np.append(rows[bounds[:-1]], d)
-        bounds = np.append(bounds, len(rows))
+        keys, bounds, cols = other.row_index()
+        if other.whole is not None:
+            other = other.whole
+        mids = self.cells % self.dim
         t = np.searchsorted(keys, mids)
         lo = bounds[t]
         counts = np.where(keys[t] == mids, bounds[t + 1] - lo, 0)
@@ -351,10 +380,13 @@ class _FlatSparse:
         # other it meets; pos is the index of that entry of other
         pos = np.repeat(lo - (np.cumsum(counts) - counts), counts)
         pos += np.arange(len(pos))
-        cells = np.repeat(self.cells - mids, counts) + (other.cells % d)[pos]
+        cells = np.repeat(self.cells - mids, counts)
+        cells += cols[pos]
         xr, xi = np.repeat(self.re, counts), np.repeat(self.im, counts)
         yr, yi = other.re[pos], other.im[pos]
-        return _summed(d, cells, xr * yr - xi * yi, xr * yi + xi * yr)
+        re, im = xr * yr - xi * yi, xr * yi + xi * yr
+        del pos, xr, xi, yr, yi  # not held while _summed sorts
+        return _summed(self.dim, cells, re, im)
 
     def __add__(self, other):
         import numpy as np
@@ -387,32 +419,73 @@ class _FlatSparse:
 # residual took 9 ms at (5,4) = 256, against 52 ms dense (best of 5, 2-core
 # machine), so a rebuild of the pool can drop the dense path. Above it,
 # products of the _FlatSparse matrices (at most n - 1 nonzeros per column)
-# replace the O(d^3) dense ones.
+# replace the O(d^3) dense ones, taken over blocks of rows, so that the
+# memory of a residual grows with _RESIDUAL_BLOCK_TERMS, not with d.
 _DENSE_RESIDUAL_MAX_DIM = 256
+
+# Budget of product terms per row block of the sparse residual. A row costs
+# its stored entries, over all generators, times the longest stored row of
+# any generator: a bound on the terms its entries give in products with one
+# right factor, whose second product has at most that many times as many.
+# A block ends where the running cost of the rows passes a multiple of the
+# budget, so it costs less than the budget plus one row. Smaller blocks hold
+# fewer temporaries and pay numpy's per-call overhead more often. Measured
+# at seed 0 in process (2-core machine, timings within about 15%): at
+# (6,3) = 729 the residual rose 2.4, 3.0, 4.5 and 7.2 MB above the loaded
+# operators and numpy at 2^12, 2^13, 2^14 and 2^15 (14, 7, 4 and 2
+# blocks); at (7,3) = 19683 it took 5.7, 4.5, 4.0 and 4.2 s at 2^13 to 2^16
+# (303 to 38 blocks), and 5.2 s and 387 MB more in one block.
+_RESIDUAL_BLOCK_TERMS = 2**14
+
+
+def _row_blocks(mats):
+    """Lists of row blocks of mats, one list per block of consecutive rows,
+    cut from the stored rows by _RESIDUAL_BLOCK_TERMS; at least one list."""
+    import numpy as np
+
+    index = [m.row_index() for m in mats]
+    rows = np.concatenate([keys[:-1] for keys, _, _ in index])
+    lengths = np.concatenate([np.diff(bounds[:-1]) for _, bounds, _ in index])
+    rows, inverse = np.unique(rows, return_inverse=True)
+    widest = int(lengths.max(initial=0))
+    cost = np.cumsum(np.bincount(inverse, lengths, minlength=len(rows)) * widest)
+    firsts = rows[np.flatnonzero(np.diff(cost // _RESIDUAL_BLOCK_TERMS, prepend=-1))]
+    edges = np.append(firsts, mats[0].dim).tolist() if len(rows) else [0, mats[0].dim]
+    for first, stop in zip(edges, edges[1:]):
+        yield [m.row_block(first, stop) for m in mats]
 
 
 def relation_residual(ops, root):
     """Max-entry residual of every defining relation on the given operators,
     through dense products up to _DENSE_RESIDUAL_MAX_DIM and _FlatSparse
-    ones above."""
+    ones above, taken block by block over the stored rows. (X @ Y)[I] =
+    X[I] @ Y keeps each entry's terms and their order, every term of a
+    relation starts with its left factor and its lone + b term is b
+    itself, so the blocks give the residual of the whole matrices bit for
+    bit."""
     import numpy as np
 
-    from .pbw.verify import defining_relation_residuals
+    from .pbw.verify import defining_relation_instances, defining_relation_residuals
 
     n = len(ops) + 1
     if _common_dim(ops) > _DENSE_RESIDUAL_MAX_DIM:
-        mats = [_FlatSparse.from_operator(op) for op in ops]
+        blocks = _row_blocks([_FlatSparse.from_operator(op) for op in ops])
     else:
-        mats = [op.to_dense() for op in ops]
+        blocks = [[op.to_dense() for op in ops]]
     q = root.value()
+    names = [name for name, _, _ in defining_relation_instances(n)]
+    worst = np.zeros(len(names))
     # products that overflow give inf and then nan residuals, which fail the
     # check; numpy need not also warn about them
     with np.errstate(over="ignore", invalid="ignore"):
-        return [
-            # initial: a sparse residual with no stored entry is zero
-            {"relation": name, "residual": float(abs(resid).max(initial=0.0))}
-            for name, _, resid in defining_relation_residuals(n, mats, q + 1 / q, matmul)
-        ]
+        for gens in blocks:
+            # initial: a residual with no stored entry is zero; np.maximum
+            # keeps a nan, as the max over the whole matrix would
+            worst = np.maximum(worst, [
+                abs(resid).max(initial=0.0)
+                for _, _, resid in defining_relation_residuals(n, gens, q + 1 / q, matmul)
+            ])
+    return [{"relation": name, "residual": float(value)} for name, value in zip(names, worst)]
 
 
 # Spectral certificate thresholds, set from the margins measured on 152

@@ -4,8 +4,10 @@ the print/parse round trip that ties the parser to the normal-form printer.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -131,3 +133,34 @@ def test_print_parse_round_trip_minus_variant():
             if e.is_zero():
                 continue
             assert evaluate_expression(str(e), n, variant=MINUS) == e
+
+
+SUM_PARTS = ("I21*I32", "q*I31", "-I32*I21", "1/2", "q^(1/2)", "I43*I21*I32", "3*I41",
+             "-(I21 - 1/3)", "q^(-1)*I32", "2/3*I21*I43")
+
+
+def test_a_long_sum_equals_the_chain_of_binary_sums():
+    # a sum is added into one term map; it must equal the left-to-right chain
+    # of binary + and - term for term, also where terms cancel and come back
+    # and where scalars come first
+    rng = random.Random(31)
+    for first in ("1/2", "I21*I32"):
+        parts = [first] + [rng.choice(SUM_PARTS) for _ in range(300)]
+        ops = [rng.choice("+-") for _ in parts[1:]]
+        src = parts[0] + "".join(f" {op} ({part})" for op, part in zip(ops, parts[1:]))
+        values = [evaluate_expression(part, 4) for part in parts]
+        want = reduce(lambda acc, pair: (operator.add if pair[0] == "+" else operator.sub)(
+            acc, pair[1]), zip(ops, values[1:]), values[0])
+        got = evaluate_expression(src, 4)
+        assert got == want
+        assert str(got) == str(want)
+
+
+def test_sums_do_not_share_or_change_their_operands():
+    x = evaluate_expression("q*I21*I32 - 1/2 + I31", 3)
+    before = {w: dict(c) for w, c in x._terms.items()}
+    for total in (x + x, x - x, x + 1, 1 - x, x - scalar(LaurentPoly.q(1))):
+        assert all(c is not x._terms.get(w) for w, c in total._terms.items())
+    assert x._terms == before
+    assert x + x == evaluate_expression("2*q*I21*I32 - 1 + 2*I31", 3)
+    assert (x - x).is_zero()

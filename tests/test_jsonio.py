@@ -1,17 +1,19 @@
 """Representation files: the template writer against the standard-library
-encoder, the refusal of non-finite values, and the read-side order check on
-long entry lists."""
+encoder, the refusal of non-finite values, the read-side order check on
+long entry lists, and load_rep against rep_from_json on valid and corrupted
+files."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rep_json_oracle import dumps_rep
-from uqson import jsonio
+from rep_json_oracle import dumps_rep, rep_to_json
+from uqson import cli, jsonio
 from uqson.reps import SparseOperator
 
 DIM = 6
@@ -105,3 +107,87 @@ def test_rep_from_json_refuses_disorder_deep_in_a_long_entry_list(fault):
     with pytest.raises(ValueError, match="I32 entries must be integers in 0..199, in strictly "
                                          r"increasing \(row, col\) order"):
         jsonio.rep_from_json(long_rep(dim, cells))
+
+
+# Corruptions of a representation file, each of which both readers must
+# refuse. A value-part literal replaces the marker string in the file text.
+PART_LITERALS = ("NaN", "Infinity", "-Infinity", "1e400", '"0.5"', "true", "null")
+BAD_INDICES = (1.0, True, -1, DIM, "1")
+MARKER = "@value-part@"  # longer than any generated name
+
+
+def corrupt(obj, fault, pick):
+    """Apply `fault` to the file object in place; False if it has no entry
+    to apply it to (the file stays valid)."""
+    if fault == "dim-complex":
+        obj["dim"] = {"im": 0.0, "re": float(DIM)}
+        return True
+    if fault == "name-complex":
+        obj["generators"][pick % len(obj["generators"])]["name"] = {"im": 0.0, "re": 1.0}
+        return True
+    if fault == "no-generators":
+        obj["generators"] = []
+        return True
+    lists = [gen["entries"] for gen in obj["generators"] if len(gen["entries"]) > 1]
+    if fault in ("unordered", "repeated"):
+        if not lists:
+            return False
+        entries = lists[pick % len(lists)]
+        i = pick % (len(entries) - 1)
+        if fault == "unordered":
+            entries[i], entries[i + 1] = entries[i + 1], entries[i]
+        else:
+            entries[i + 1] = entries[i]
+        return True
+    entries = [e for gen in obj["generators"] for e in gen["entries"]]
+    if not entries:
+        return False
+    entry = entries[pick % len(entries)]
+    if fault == "part":
+        entry[2]["re" if pick % 2 else "im"] = MARKER
+    elif fault == "index":
+        entry[pick % 2] = BAD_INDICES[pick % len(BAD_INDICES)]
+    elif fault == "extra-key":
+        entry[2]["abs"] = 1.0
+    elif fault == "missing-key":
+        del entry[2]["im"]
+    else:  # "bare-value"
+        entry[2] = 1.5
+    return True
+
+
+FAULTS = ("part", "index", "unordered", "repeated", "extra-key", "missing-key", "bare-value",
+          "dim-complex", "name-complex", "no-generators")
+
+
+def read_both(path):
+    """What load_rep and the reference rep_from_json(json.load(...)) make of
+    a file: the operators' repr, or ValueError."""
+    def attempt(read):
+        try:
+            return repr(read())
+        except ValueError:
+            return ValueError
+
+    def reference():
+        with open(path, encoding="utf-8") as fh:
+            return jsonio.rep_from_json(json.load(fh))
+
+    return attempt(lambda: jsonio.load_rep(path)), attempt(reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(operators(), min_size=1, max_size=3),
+       st.one_of(st.none(), st.sampled_from(FAULTS)), st.integers(0, 10**6),
+       st.sampled_from(PART_LITERALS))
+def test_load_rep_reads_and_refuses_what_rep_from_json_does(tmp_path_factory, ops, fault, pick,
+                                                            literal):
+    obj = rep_to_json(ops)
+    corrupted = fault is not None and corrupt(obj, fault, pick)
+    path = tmp_path_factory.mktemp("rep") / "rep.json"
+    path.write_text(json.dumps(obj, indent=2).replace(f'"{MARKER}"', literal), encoding="utf-8")
+    fast, reference = read_both(path)
+    assert fast == reference
+    assert (fast is ValueError) == corrupted
+    if corrupted:
+        assert cli.main(["rep-commutant", "--rep", str(path)]) == cli.EXIT_IO

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uqson import jsonio
+from uqson import jsonio, reps
 from uqson.coeffring import RootOfUnity, qbracket_numeric
 from uqson.errors import (
     DegenerateDenominator,
@@ -414,6 +414,58 @@ def test_sparse_residual_does_not_depend_on_the_dimension():
     ]
     assert reports[0] == reports[1]
     assert max(e["residual"] for e in reports[0]) < 1e-9
+
+
+def whole_matrix_residuals(ops, root):
+    """Residuals of defining_relation_residuals over the whole _FlatSparse
+    matrices, with no row blocks: the reference of the blocked residual."""
+    q = root.value()
+    mats = [_FlatSparse.from_operator(op) for op in ops]
+    return [float(abs(resid).max(initial=0.0)) for _, _, resid
+            in defining_relation_residuals(len(ops) + 1, mats, q + 1 / q, matmul)]
+
+
+@pytest.mark.parametrize("budget", ["one-row", "default", "all-rows"])
+@pytest.mark.parametrize("n,k", [(5, 5), (6, 3)])
+def test_row_blocked_residual_is_bit_identical(monkeypatch, n, k, budget):
+    # (X @ Y)[I] = X[I] @ Y sums each entry's terms in the same order, so
+    # the blocks must reproduce every bit, whether a block holds one stored
+    # row, a few or all of them
+    omega = random_generic_params(n, k, 0)
+    ops = build_representation(omega)
+    if budget != "default":
+        monkeypatch.setattr(reps, "_RESIDUAL_BLOCK_TERMS", 1 if budget == "one-row" else 2**62)
+    blocks = sum(1 for _ in reps._row_blocks([_FlatSparse.from_operator(op) for op in ops]))
+    if budget == "default":
+        assert blocks > 1
+    else:
+        assert blocks == (omega.dimension() if budget == "one-row" else 1)
+    got = [entry["residual"].hex() for entry in relation_residual(ops, omega.root)]
+    assert got == [value.hex() for value in whole_matrix_residuals(ops, omega.root)]
+
+
+@pytest.mark.parametrize("budget", [2**10, 2**12])
+def test_row_blocks_bound_the_terms_of_every_sum(monkeypatch, budget):
+    # at (6,3) the largest sum of the blocked residual takes 1.37 times the
+    # budget in terms at 2^10 and 1.34 times at 2^12; over whole matrices
+    # it takes 72,900. The first n - 1 sums are the conversions of the
+    # whole generators, which the residual holds anyway
+    omega = random_generic_params(6, 3, 0)
+    ops = build_representation(omega)
+    sizes, summed = [], reps._summed
+
+    def counting(dim, cells, re, im):
+        sizes.append(len(cells))
+        return summed(dim, cells, re, im)
+
+    monkeypatch.setattr(reps, "_summed", counting)
+    monkeypatch.setattr(reps, "_RESIDUAL_BLOCK_TERMS", budget)
+    relation_residual(ops, omega.root)
+    assert max(sizes[len(ops):]) <= 2 * budget
+    sizes.clear()
+    monkeypatch.setattr(reps, "_RESIDUAL_BLOCK_TERMS", 2**62)
+    relation_residual(ops, omega.root)
+    assert max(sizes[len(ops):]) > 2 * budget
 
 
 def flat_sparse_to_dense(m):
