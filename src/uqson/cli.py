@@ -145,7 +145,7 @@ def cmd_rep_verify(args):
     if args.commutant:
         cdim = reps.commutant_dimension(ops)
         artifacts.append({"commutantDim": cdim})
-        print(f"commutant-dim: {cdim}")
+        print(f"commutant-dim: {'uncertified' if cdim is None else cdim}")
         ok = ok and cdim == 1
     if args.out:
         jsonio.dump_json(artifacts, args.out)
@@ -158,7 +158,7 @@ def cmd_rep_commutant(args):
 
     ops = jsonio.load_rep(args.rep)
     cdim = reps.commutant_dimension(ops)
-    print(f"commutant-dim: {cdim}")
+    print(f"commutant-dim: {'uncertified' if cdim is None else cdim}")
     print(f"rep-commutant: {'PASS' if cdim == 1 else 'FAIL'} (irreducible iff 1)")
     return EXIT_PASS if cdim == 1 else EXIT_CHECK_FAILED
 

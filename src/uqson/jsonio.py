@@ -74,7 +74,7 @@ def params_from_json(data):
         m_top = tuple(complex_from_json(z) for z in data["mTop"])
         h = slots(data["h"])
         c = slots(data["c"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed parameter file: {exc}") from exc
     return ParamsOmega(n=n, root=RootOfUnity(order, t), m_top=m_top, h=h, c=c)
 
@@ -130,14 +130,43 @@ def rep_from_json(data):
     0 <= row, col < dim, in strictly increasing (row, col) order (the order
     dump_rep writes), so no index is truncated or wraps and no cell is given
     twice. Each name must be a JSON string. A file with no generator is
-    refused too."""
-    return _operators(data, complex_from_json)
+    refused too. An entry value is a {re, im} object, or the complex that
+    load_rep's parse made of one."""
+    from .reps import SparseOperator  # parameter files never need the operator layer
+
+    try:
+        dim = _integer(data["dim"], "dim")
+        if not 1 <= dim <= _MAX_DIM:
+            raise ValueError(f"dim = {dim} is not in 1..{_MAX_DIM}")
+        ops = []
+        for gen in data["generators"]:
+            name = gen["name"]
+            if type(name) is not str:
+                raise TypeError(f"name must be a string, got {name!r}")
+            entries = tuple(
+                (row, col, _parsed_complex(value)) for row, col, value in gen["entries"]
+            )
+            cells = [(row, col) for row, col, _ in entries]
+            if not all(
+                type(row) is int and type(col) is int and 0 <= row < dim and 0 <= col < dim
+                for row, col in cells
+            ) or not all(a < b for a, b in pairwise(cells)):
+                raise ValueError(
+                    f"{name} entries must be integers in "
+                    f"0..{dim - 1}, in strictly increasing (row, col) order"
+                )
+            ops.append(SparseOperator(name=name, dim=dim, entries=entries))
+        if not ops:
+            raise ValueError("no generators")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed representation file: {exc}") from exc
+    return ops
 
 
 def _parsed_complex(value):
     """An entry value as load_rep's parse left it: a complex made by its
-    hook, or the object the hook passed over, which complex_from_json
-    refuses with the message rep_from_json gives."""
+    hook, or a value the hook passed over, which complex_from_json refuses.
+    json.load makes no complex, so on its output this is complex_from_json."""
     return value if type(value) is complex else complex_from_json(value)
 
 
@@ -153,43 +182,7 @@ def load_rep(path):
         data = load_json(path, object_hook=_complex_hook)
     except TypeError as exc:
         raise ValueError(f"malformed representation file: {exc}") from exc
-    return _operators(data, _parsed_complex)
-
-
-def _operators(data, value_of):
-    """The operators of a parsed representation file, each entry value
-    passed through value_of; see rep_from_json for the checks."""
-    from .reps import SparseOperator  # parameter files never need the operator layer
-
-    try:
-        dim = _integer(data["dim"], "dim")
-        if not 1 <= dim <= _MAX_DIM:
-            raise ValueError(
-                f"malformed representation file: dim = {dim} is not in 1..{_MAX_DIM}"
-            )
-        ops = []
-        for gen in data["generators"]:
-            name = gen["name"]
-            if type(name) is not str:
-                raise TypeError(f"name must be a string, got {name!r}")
-            entries = tuple(
-                (row, col, value_of(value)) for row, col, value in gen["entries"]
-            )
-            cells = [(row, col) for row, col, _ in entries]
-            if not all(
-                type(row) is int and type(col) is int and 0 <= row < dim and 0 <= col < dim
-                for row, col in cells
-            ) or not all(a < b for a, b in pairwise(cells)):
-                raise ValueError(
-                    f"malformed representation file: {name} entries must be integers in "
-                    f"0..{dim - 1}, in strictly increasing (row, col) order"
-                )
-            ops.append(SparseOperator(name=name, dim=dim, entries=entries))
-        if not ops:
-            raise ValueError("malformed representation file: no generators")
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed representation file: {exc}") from exc
-    return ops
+    return rep_from_json(data)
 
 
 def dumps_json(obj):

@@ -8,13 +8,14 @@ term for odd s. Matrix columns are indexed by the source tableau, read as a
 mixed-radix number in base k. A generator reads only three rows of the
 tableau, so its matrix is one small local matrix tiled over the other digits.
 
-Building needs only the standard library; numpy is imported by the code that
-computes with matrices (to_dense, to_csr, the residual and the commutant).
-The residual above _DENSE_RESIDUAL_MAX_DIM multiplies _FlatSparse matrices,
-which are numpy code, block by block over the stored rows, so its working
-memory follows _RESIDUAL_BLOCK_TERMS and not the dimension. scipy is
-imported only by to_csr, which runs only in the sparse Sylvester solve of
-the commutant.
+Building needs only the standard library; numpy, the package's only
+dependency, is imported by the code that computes with matrices (to_dense,
+the residual and the commutant). The residual above _DENSE_RESIDUAL_MAX_DIM
+multiplies _FlatSparse matrices, which are numpy code, block by block over
+the stored rows, so its working memory follows _RESIDUAL_BLOCK_TERMS and not
+the dimension. The commutant certificate diagonalizes a generic element and
+checks its eigenbasis graph after the fact; an input it declines goes to a
+dense Sylvester solve up to d = 40 and is reported uncertified above.
 """
 
 from __future__ import annotations
@@ -179,18 +180,6 @@ class SparseOperator:
             m[r, c] = v
         return m
 
-    def to_csr(self):
-        import numpy as np
-        from scipy.sparse import csr_matrix
-
-        if not self.entries:
-            return csr_matrix((self.dim, self.dim), dtype=np.complex128)
-        rows, cols, vals = zip(*self.entries)
-        return csr_matrix(
-            (np.array(vals, dtype=np.complex128), (rows, cols)),
-            shape=(self.dim, self.dim),
-        )
-
     def max_column_nonzeros(self):
         counts = {}
         for _, c, _ in self.entries:
@@ -310,7 +299,7 @@ class _FlatSparse:
     and the real and imaginary parts of their values. It supports what
     defining_relation_residuals applies to its operands, X @ Y, X + Y, X - Y
     and c * X, and abs(X), the absolute values of the stored entries. Memory
-    is O(nnz), with no array of length d, and scipy is not needed.
+    is O(nnz), with no array of length d.
 
     A row block (see row_block) holds the cells of some rows of a whole
     matrix and a reference to it. As a left operand and in sums it is those
@@ -332,8 +321,7 @@ class _FlatSparse:
 
     @staticmethod
     def from_operator(op):
-        """Repeated or unsorted (row, col) triples are summed and sorted, as
-        to_csr does."""
+        """Repeated or unsorted (row, col) triples are summed and sorted."""
         import numpy as np
 
         rows, cols, vals = zip(*op.entries) if op.entries else ((), (), ())
@@ -488,64 +476,66 @@ def relation_residual(ops, root):
     return [{"relation": name, "residual": float(value)} for name, value in zip(names, worst)]
 
 
-# Spectral certificate thresholds, set from the margins measured on 152
-# representations, d <= 81: (3,3)-(3,8), (4,3)-(4,7), (4,9) and (5,3), seeds
-# 0-7, every primitive root at k = 5. See commutant_certificate.
+# Spectral certificate constants. The gap and cond(V) gates and the edge
+# threshold were set from the margins measured on 152 representations,
+# d <= 81: (3,3)-(3,8), (4,3)-(4,7), (4,9) and (5,3), seeds 0-7, every
+# primitive root at k = 5. See commutant_certificate.
 _GENERIC_SEED = 1999
 _MIN_GAP = 1e-7
 _MAX_COND = 1e6
 _EDGE_THRESHOLD = 1e-9
-_MIN_SEPARATION = 1e3
+_UNIT_ROUNDOFF = 2.0**-53
+# Largest dimension whose declined certificate goes to the dense Sylvester
+# solve on d^2 = 1600 unknowns; above it, a declined input is uncertified.
+_DENSE_SYLVESTER_MAX_DIM = 40
 
 
 @dataclass(frozen=True)
 class CommutantCertificate:
     """How the commutant dimension was decided, and how close it came to
-    failing. The four margins describe the spectral attempt; they are nan
-    where that attempt stopped before reaching them."""
+    failing. The margins describe the spectral attempt: each is >= 1 where
+    its check passed, and nan where the attempt stopped before reaching it.
+    dimension is None when the path is "uncertified"."""
 
-    dimension: int
-    path: str  # "spectral" or "sylvester"
+    dimension: int | None
+    path: str  # "spectral", "sylvester" or "uncertified"
     gap: float  # min |w_i - w_j| / |A|_F over the generic element's eigenvalues
     cond: float  # 2-norm condition number of its eigenvector matrix V
-    zero_margin: float  # edge threshold / largest entry counted as zero
-    edge_margin: float  # smallest entry counted as an edge / edge threshold
+    commute_margin: float  # beta / largest relative commutator of a component projector
+    edge_margin: float  # smallest entry counted as an edge / beta
 
 
-def _component_count(adj):
-    """Connected components of the undirected graph with adjacency `adj`.
+def _component_labels(adj):
+    """Connected component of each node of the undirected graph with
+    adjacency `adj`, numbered 0, 1, ... in the order of their first nodes.
 
-    Breadth-first on boolean rows: scipy.sparse.csgraph would add about
-    0.36 s of import to every CLI process that certifies a commutant.
+    Breadth-first on boolean rows, in numpy: a graph library would add its
+    import to every CLI process that certifies a commutant.
     """
     import numpy as np
 
     d = adj.shape[0]
-    seen = np.zeros(d, dtype=bool)
+    labels = np.full(d, -1)
     count = 0
     for start in range(d):
-        if seen[start]:
+        if labels[start] >= 0:
             continue
-        count += 1
+        seen = np.zeros(d, dtype=bool)
         frontier = np.zeros(d, dtype=bool)
         frontier[start] = True
         while frontier.any():
             seen |= frontier
             frontier = adj[frontier].any(axis=0) & ~seen
-    return count
+        labels[seen] = count
+        count += 1
+    return labels
 
 
-def _eigenbasis_graph(dense):
-    """Spectral attempt: (gap, cond, zero_margin, edge_margin, components).
-
-    A is a fixed-seed complex combination of the generators and all their
-    pairwise products, assembled as sum_i T_i (c_i + sum_j c_ij T_j).
-    components is None when the gap or the conditioning already rules the
-    eigenbasis out.
-    """
+def _generic_element(dense):
+    """A fixed-seed complex combination A of the generators and all their
+    pairwise products, assembled as sum_i T_i (c_i + sum_j c_ij T_j)."""
     import numpy as np
 
-    nan = float("nan")
     d, m = dense[0].shape[0], len(dense)
     rng = np.random.default_rng(_GENERIC_SEED)
     coef = rng.standard_normal((m, m + 1)) + 1j * rng.standard_normal((m, m + 1))
@@ -553,6 +543,20 @@ def _eigenbasis_graph(dense):
     for i, t in enumerate(dense):
         poly = coef[i, m] * np.eye(d) + sum(coef[i, j] * dense[j] for j in range(m))
         a += t @ poly
+    return a
+
+
+def _eigenbasis_graph(dense):
+    """Spectral attempt on the generic element A of _generic_element:
+    (gap, cond, commute_margin, edge_margin, components). components is None
+    when the gap or the conditioning already rules the eigenbasis out; the
+    margins are then nan.
+    """
+    import numpy as np
+
+    nan = float("nan")
+    d, m = dense[0].shape[0], len(dense)
+    a = _generic_element(dense)
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError:
@@ -567,13 +571,21 @@ def _eigenbasis_graph(dense):
     conj = np.linalg.solve(v, np.hstack([t @ v for t in dense])).reshape(d, m, d)
     weight = np.abs(conj).sum(axis=1)
     weight /= weight.max()  # A != 0 here, so some T_i is nonzero
-    off = ~np.eye(d, dtype=bool)
-    edges = (weight > _EDGE_THRESHOLD) & off
-    largest_zero = float(weight[off & ~edges].max(initial=0.0))
-    smallest_edge = float(weight[edges].min(initial=np.inf))
-    zero_margin = _EDGE_THRESHOLD / largest_zero if largest_zero else float("inf")
-    edge_margin = smallest_edge / _EDGE_THRESHOLD
-    return gap, cond, zero_margin, edge_margin, _component_count(edges | edges.T)
+    edges = (weight > _EDGE_THRESHOLD) & ~np.eye(d, dtype=bool)
+    beta = cond**2 * d * _UNIT_ROUNDOFF
+    edge_margin = float(weight[edges].min(initial=np.inf)) / beta
+    labels = _component_labels(edges | edges.T)
+    components = int(labels.max()) + 1
+    worst = 0.0  # one component: P = I commutes exactly
+    if components > 1:
+        v_inv = np.linalg.inv(v)
+        for c in range(components):
+            part = labels == c
+            p = v[:, part] @ v_inv[part, :]
+            worst = max(worst, *(float(np.abs(p @ t - t @ p).max()) for t in dense))
+        worst /= max(float(np.abs(t).max()) for t in dense)
+    commute_margin = beta / worst if worst else float("inf")
+    return gap, cond, commute_margin, edge_margin, components
 
 
 def commutant_certificate(ops):
@@ -589,89 +601,75 @@ def commutant_certificate(ops):
     wherever sum_i |(V^-1 T_i V)_rc|, relative to its largest entry, exceeds
     1e-9. This costs O(d^3).
 
-    The path declines, and the Sylvester solve on d^2 unknowns decides,
-    unless all of these hold. Each threshold sits orders of magnitude from
-    what was measured on the library's representations (up to d = 81):
-      - gap >= 1e-7: measured gaps are >= 2.4e-5; the direct sum of two
-        isomorphic copies, whose repeated spectrum would make the graph
-        undercount, gives 3e-17, the rounding floor.
-      - cond(V) <= 1e6: measured <= 1.2e3. The gap is relative to the
-        Frobenius norm |A|_F, and by Bauer-Fike the computed eigenvalues
-        then lie within cond * eps * |A|_F ~ 2e-10 |A|_F of exact ones,
-        far below the admitted gap, so a simple computed spectrum is simple.
-      - both separation margins >= 1e3, i.e. every off-diagonal entry is
-        <= 1e-12 or >= 1e-6: measured "zeros" are <= 1.2e-13 (the entries
-        between the (4,4) and (4,6) invariant subspaces), measured edges
-        >= 8.8e-5.
+    The path first tests its precondition, each gate orders of magnitude
+    from what was measured on the library's representations:
+      - gap >= 1e-7: measured gaps are >= 2.4e-5 up to d = 81, and >= 6.7e-7
+        at (4,10), seeds 0-11; the direct sum of two isomorphic copies,
+        whose repeated spectrum would make the graph undercount, gives 3e-17,
+        the rounding floor.
+      - cond(V) <= 1e6: measured <= 1.2e3 up to d = 81, 5.7e3 at (5,6)
+        seed 0. The gap is relative to the Frobenius norm |A|_F, and by
+        Bauer-Fike the computed eigenvalues then lie within
+        cond * eps * |A|_F ~ 2e-10 |A|_F of exact ones, far below the
+        admitted gap, so a simple computed spectrum is simple.
+
+    It then checks its graph after the fact, against the rounding estimate
+    beta = cond(V)^2 * d * u, with u = 2^-53 the unit roundoff. V^-1 is
+    computed with a relative error of order cond(V) * u, so products through
+    V and V^-1 carry about cond(V)^2 * u, and each entry of a d-term sum adds
+    up to gamma_d ~ d * u (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3). beta is a first-order estimate, not a proven bound.
+      - Lower bound: for each component c, the projector P_c =
+        V[:, c] V^-1[c, :] commutes with every T_i within beta,
+        max |P_c T_i - T_i P_c| / max |T_i| <= beta, so the components span
+        invariant subspaces and commutant >= #components. A coupling between
+        components that the 1e-9 split counted as zero shows here. With one
+        component P_c = I, and the check is skipped.
+      - Upper bound: the smallest edge is >= beta, so every edge is a nonzero
+        of the exact V^-1 T_i V, not rounding, and commutant <= #components.
+    commute_margin and edge_margin are these two ratios to beta. Measured at
+    (4,8) and (4,10), seeds 0-11, the largest commutator is 0.43 beta and
+    the smallest edge 2.5e4 beta.
+
+    A declined input goes to the Sylvester solve on d^2 unknowns up to
+    d = _DENSE_SYLVESTER_MAX_DIM; above it, the certificate gives dimension
+    None on the path "uncertified", with the margins it reached.
     """
-    _common_dim(ops)
-    gap, cond, zero_margin, edge_margin, components = _eigenbasis_graph(
+    d = _common_dim(ops)
+    gap, cond, commute_margin, edge_margin, components = _eigenbasis_graph(
         [op.to_dense() for op in ops]
     )
-    if components is not None and min(zero_margin, edge_margin) >= _MIN_SEPARATION:
-        return CommutantCertificate(
-            components, "spectral", gap, cond, zero_margin, edge_margin
-        )
-    return CommutantCertificate(
-        _sylvester_dimension(ops), "sylvester", gap, cond, zero_margin, edge_margin
-    )
+    if components is not None and min(commute_margin, edge_margin) >= 1:
+        dimension, path = components, "spectral"
+    elif d <= _DENSE_SYLVESTER_MAX_DIM:
+        dimension, path = _sylvester_dimension(ops), "sylvester"
+    else:
+        dimension, path = None, "uncertified"
+    return CommutantCertificate(dimension, path, gap, cond, commute_margin, edge_margin)
 
 
 def commutant_dimension(ops):
     """Dimension of {X : XT = TX for all T}; 1 certifies irreducibility.
 
-    Decided by commutant_certificate: an eigenbasis graph when its checked
-    precondition holds, else the Sylvester solve.
+    Decided by commutant_certificate: an eigenbasis graph when its checks
+    pass, else the dense Sylvester solve up to d = 40, else None
+    (uncertified).
     """
     return commutant_certificate(ops).dimension
 
 
 def _sylvester_dimension(ops):
-    """Commutant dimension from the stacked Sylvester system on d^2 unknowns.
-
-    Singular values below 1e-8 * sigma_max count as zero. Small systems go
-    through a dense SVD, larger ones through sparse eigensolves of the
-    normal matrix. The fallback of commutant_certificate and its test oracle.
+    """Commutant dimension from the stacked Sylvester system on d^2 unknowns,
+    through a dense SVD; singular values below 1e-8 * sigma_max count as
+    zero. The fallback of commutant_certificate and its test oracle.
     """
     import numpy as np
 
     d = _common_dim(ops)
-    d2 = d * d
-    if d2 <= 1600:
-        eye = np.eye(d)
-        dense = [op.to_dense() for op in ops]
-        blocks = [np.kron(eye, t) - np.kron(t.T, eye) for t in dense]
-        m = np.vstack(blocks)
-        if not m.any():
-            return d2
-        sigma = np.linalg.svd(m, compute_uv=False)
-        smax = sigma[0]
-        return int((sigma < 1e-8 * smax).sum())
-
-    from scipy.sparse import identity, kron, vstack
-    from scipy.sparse.linalg import eigsh, svds
-
-    eye = identity(d, dtype=np.complex128, format="csr")
-    blocks = []
-    for op in ops:
-        t = op.to_csr()
-        blocks.append(kron(eye, t) - kron(t.T, eye))
-    m = vstack(blocks).tocsr()
-    if m.nnz == 0:
-        return d2
-    smax = float(svds(m, k=1, return_singular_vectors=False)[0])
-    gram = (m.getH() @ m).tocsc()
-    thresh = (1e-8 * smax) ** 2
-    k = 8
-    while True:
-        vals = eigsh(
-            gram,
-            k=k,
-            sigma=-(smax ** 2) * 1e-6,
-            which="LM",
-            return_eigenvectors=False,
-        )
-        count = int((vals <= thresh).sum())
-        if count < k or k >= min(128, d2 - 1):
-            return count
-        k = min(k * 2, 128)
+    eye = np.eye(d)
+    blocks = [np.kron(eye, t) - np.kron(t.T, eye) for t in (op.to_dense() for op in ops)]
+    m = np.vstack(blocks)
+    if not m.any():
+        return d * d
+    sigma = np.linalg.svd(m, compute_uv=False)
+    return int((sigma < 1e-8 * sigma[0]).sum())

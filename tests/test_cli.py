@@ -371,6 +371,30 @@ def test_exit_5_on_non_finite_params_values(capsys, tmp_path, literal, field):
     assert not rep.exists()
 
 
+@pytest.mark.parametrize("value", [1.5, {"re": 1.0, "im": 0.0, "abs": 1.0}],
+                         ids=["bare-value", "extra-key"])
+def test_exit_5_names_the_file_on_a_value_that_is_not_a_complex(capsys, tmp_path, value):
+    rep = write_rep(tmp_path / "rep.json", [(0, 1), (1, 0)])
+    data = json.loads(rep.read_text())
+    data["generators"][0]["entries"][0][2] = value
+    rep.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rep-verify", "--rep", str(rep), "--q-order", "3")
+    assert (code, out) == (5, "")
+    expected = f"expected {{re, im}} object, got {value!r}\n"
+    assert err == "error: malformed representation file: " + expected
+
+    params = tmp_path / "omega.json"
+    run(capsys, "params-sample", "--n", "3", "--order", "3", "--seed", "2",
+        "--out", str(params))
+    data = json.loads(params.read_text())
+    data["mTop"][0] = value
+    params.write_text(json.dumps(data))
+    code, out, err = run(capsys, "rep-build", "--params", str(params),
+                         "--out", str(tmp_path / "out.json"))
+    assert (code, out) == (5, "")
+    assert err == "error: malformed parameter file: " + expected
+
+
 def write_overflowing_rep(path):
     """A 3-dim representation file with entries of 1e200: the products
     overflow, and inf - inf gives nan residuals."""
@@ -593,6 +617,34 @@ def test_rep_verify_loads_no_scipy_on_either_side_of_the_dense_residual_cutoff(t
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].startswith(f"rep-verify dim={order ** 2} ")
     assert proc.stderr == "['numpy']\n"
+
+
+def test_uncertified_commutant_fails_at_once_without_scipy(tmp_path):
+    # T0 (+) T0 at (3,21), d = 42: its spectrum repeats, so the spectral path
+    # declines, and above d = 40 no Sylvester solve runs
+    from test_reps import direct_sum
+
+    from uqson import jsonio, reps
+
+    t0 = reps.build_representation(reps.random_generic_params(3, 21, 0))
+    rep, report = tmp_path / "rep.json", tmp_path / "report.json"
+    jsonio.dump_rep(direct_sum(t0, t0), rep)
+    for argv, verdict in (
+        (["rep-verify", "--rep", str(rep), "--q-order", "21", "--commutant",
+          "--out", str(report)], "rep-verify dim=42 tol=1.000e-09: FAIL"),
+        (["rep-commutant", "--rep", str(rep)], "rep-commutant: FAIL (irreducible iff 1)"),
+    ):
+        code = (
+            "import sys\n"
+            "from uqson.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(sorted(m for m in {HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_process([sys.executable, "-c", code], timeout=20)
+        assert (proc.returncode, proc.stderr) == (1, "['numpy']\n")
+        assert proc.stdout.splitlines()[-2:] == ["commutant-dim: uncertified", verdict]
+    assert json.loads(report.read_text())[-1] == {"commutantDim": None}
 
 
 def console_script_argv():

@@ -591,13 +591,16 @@ def permuted(ops, perm):
 def test_spectral_path_declines_on_isomorphic_direct_sum():
     # T (+) T: the generic element repeats every eigenvalue, and the
     # eigenbasis graph would give 2 where the commutant is 2x2 matrices = 4.
-    # At (3,21), d = 42 > 40 puts the Sylvester solve on its sparse branch;
-    # there T0 (+) T1 declines too, on its edge margin (about 40 < 1e3)
+    # At d = 6 the dense Sylvester solve decides; at (3,21), d = 42 is above
+    # its cap of 40, so T0 (+) T0 is uncertified at once. T0 (+) T1 has a
+    # simple spectrum, and its smallest edge (about 31 beta) certifies 2
     small = build_representation(random_generic_params(3, 3, 0))
     t0, t1 = (build_representation(random_generic_params(3, 21, seed)) for seed in (0, 1))
-    for first, second, dimension in ((small, small, 4), (t0, t0, 4), (t0, t1, 2)):
+    for first, second, path, dimension in ((small, small, "sylvester", 4),
+                                           (t0, t0, "uncertified", None),
+                                           (t0, t1, "spectral", 2)):
         cert = commutant_certificate(direct_sum(first, second))
-        assert (cert.path, cert.dimension) == ("sylvester", dimension)
+        assert (cert.path, cert.dimension) == (path, dimension)
         assert (cert.gap < 1e-12) == (first is second)
 
 
@@ -607,7 +610,51 @@ def test_spectral_path_splits_non_isomorphic_direct_sum():
     cert = commutant_certificate(direct_sum(t1, t2))
     assert cert.path == "spectral"
     assert cert.dimension == 2
-    assert min(cert.zero_margin, cert.edge_margin) >= 1e3
+    assert min(cert.commute_margin, cert.edge_margin) >= 1
+
+
+@pytest.mark.parametrize("n,k", [(4, 8), (4, 10)])
+@pytest.mark.parametrize("seed", range(12))
+def test_even_order_splits_in_two_spectrally(n, k, seed):
+    # two invariant subspaces (README, "Known limitation"); d = 64 and 100
+    # are above the dense Sylvester cap, so the spectral path must decide
+    cert = commutant_certificate(build_representation(random_generic_params(n, k, seed)))
+    assert (cert.path, cert.dimension) == ("spectral", 2)
+
+
+@pytest.mark.parametrize("n,k", [(4, 4), (4, 8)])
+def test_certificate_refuses_a_coupling_below_the_edge_split(n, k):
+    # T_i' = T_i + eps V E_rc V^-1 couples the two invariant subspaces with a
+    # commutator of 10 beta, an entry the 1e-9 edge split counts as zero
+    ops = build_representation(random_generic_params(n, k, 0))
+    cert = commutant_certificate(ops)
+    assert (cert.path, cert.dimension) == ("spectral", 2)
+    d = ops[0].dim
+    beta = cert.cond**2 * d * reps._UNIT_ROUNDOFF
+    dense = [op.to_dense() for op in ops]
+    v = np.linalg.eig(reps._generic_element(dense))[1]
+    v_inv = np.linalg.inv(v)
+    weight = sum(np.abs(v_inv @ t @ v) for t in dense)
+    labels = reps._component_labels(weight > reps._EDGE_THRESHOLD * weight.max())
+    r, c = 0, int(np.flatnonzero(labels != labels[0])[0])
+    coupling = np.outer(v[:, r], v_inv[c, :])
+    eps = 10 * beta * max(np.abs(t).max() for t in dense) / np.abs(coupling).max()
+    assert eps < reps._EDGE_THRESHOLD * weight.max()
+    perturbed = []
+    for op, t in zip(ops, dense):
+        t = t + eps * coupling
+        perturbed.append(SparseOperator(op.name, d, tuple(
+            (int(i), int(j), complex(t[i, j])) for i, j in zip(*np.nonzero(t))
+        )))
+    after = commutant_certificate(perturbed)
+    assert (after.path, after.dimension) != ("spectral", 2)
+    if d <= reps._DENSE_SYLVESTER_MAX_DIM:
+        # the lower-bound check declines; the dense Sylvester solve then
+        # decides, and its rank threshold of 1e-8 lies far above the coupling
+        assert after.path == "sylvester" and after.commute_margin < 1
+    else:
+        # no solve runs above the cap: the certificate alone must not give 2
+        assert after.dimension != 2
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5)])
