@@ -14,8 +14,8 @@ the residual and the commutant). The residual above _DENSE_RESIDUAL_MAX_DIM
 multiplies _FlatSparse matrices, which are numpy code, block by block over
 the stored rows, so its working memory follows _RESIDUAL_BLOCK_TERMS and not
 the dimension. The commutant certificate diagonalizes a generic element and
-checks its eigenbasis graph after the fact; an input it declines goes to a
-dense Sylvester solve up to d = 40 and is reported uncertified above.
+checks its eigenbasis graph after the fact; an input it declines is reported
+uncertified, at any dimension.
 """
 
 from __future__ import annotations
@@ -179,12 +179,6 @@ class SparseOperator:
         for r, c, v in self.entries:
             m[r, c] = v
         return m
-
-    def max_column_nonzeros(self):
-        counts = {}
-        for _, c, _ in self.entries:
-            counts[c] = counts.get(c, 0) + 1
-        return max(counts.values(), default=0)
 
 
 def _shift_operator(omega, memo, s):
@@ -485,20 +479,16 @@ _MIN_GAP = 1e-7
 _MAX_COND = 1e6
 _EDGE_THRESHOLD = 1e-9
 _UNIT_ROUNDOFF = 2.0**-53
-# Largest dimension whose declined certificate goes to the dense Sylvester
-# solve on d^2 = 1600 unknowns; above it, a declined input is uncertified.
-_DENSE_SYLVESTER_MAX_DIM = 40
 
 
 @dataclass(frozen=True)
 class CommutantCertificate:
-    """How the commutant dimension was decided, and how close it came to
-    failing. The margins describe the spectral attempt: each is >= 1 where
-    its check passed, and nan where the attempt stopped before reaching it.
-    dimension is None when the path is "uncertified"."""
+    """The commutant dimension, and how close its checks came to failing.
+    Each margin is >= 1 where its check passed, and nan where the attempt
+    stopped before reaching it. dimension is None when a check declined
+    (uncertified)."""
 
     dimension: int | None
-    path: str  # "spectral", "sylvester" or "uncertified"
     gap: float  # min |w_i - w_j| / |A|_F over the generic element's eigenvalues
     cond: float  # 2-norm condition number of its eigenvector matrix V
     commute_margin: float  # beta / largest relative commutator of a component projector
@@ -589,9 +579,9 @@ def _eigenbasis_graph(dense):
 
 
 def commutant_certificate(ops):
-    """Commutant dimension with the path that decided it and its margins.
+    """Commutant dimension with its margins, decided spectrally.
 
-    Spectral path (Burnside; the MeatAxe irreducibility test, Parker 1984,
+    Spectral check (Burnside; the MeatAxe irreducibility test, Parker 1984,
     Holt and Rees 1994): take a generic element A of the algebra the
     operators generate and diagonalize it, A = V diag(w) V^-1. If w is
     simple, every X commuting with all T_i commutes with A and so is
@@ -601,8 +591,8 @@ def commutant_certificate(ops):
     wherever sum_i |(V^-1 T_i V)_rc|, relative to its largest entry, exceeds
     1e-9. This costs O(d^3).
 
-    The path first tests its precondition, each gate orders of magnitude
-    from what was measured on the library's representations:
+    It first tests its precondition, each gate orders of magnitude from
+    what was measured on the library's representations:
       - gap >= 1e-7: measured gaps are >= 2.4e-5 up to d = 81, and >= 6.7e-7
         at (4,10), seeds 0-11; the direct sum of two isomorphic copies,
         whose repeated spectrum would make the graph undercount, gives 3e-17,
@@ -631,45 +621,25 @@ def commutant_certificate(ops):
     (4,8) and (4,10), seeds 0-11, the largest commutator is 0.43 beta and
     the smallest edge 2.5e4 beta.
 
-    A declined input goes to the Sylvester solve on d^2 unknowns up to
-    d = _DENSE_SYLVESTER_MAX_DIM; above it, the certificate gives dimension
-    None on the path "uncertified", with the margins it reached.
+    An input any check declines gets dimension None (uncertified), at every
+    d, with the margins it reached: the certificate gives no answer it has
+    not checked.
     """
-    d = _common_dim(ops)
+    _common_dim(ops)  # refuses mixed dimensions and an empty list first
     gap, cond, commute_margin, edge_margin, components = _eigenbasis_graph(
         [op.to_dense() for op in ops]
     )
-    if components is not None and min(commute_margin, edge_margin) >= 1:
-        dimension, path = components, "spectral"
-    elif d <= _DENSE_SYLVESTER_MAX_DIM:
-        dimension, path = _sylvester_dimension(ops), "sylvester"
-    else:
-        dimension, path = None, "uncertified"
-    return CommutantCertificate(dimension, path, gap, cond, commute_margin, edge_margin)
+    certified = components is not None and min(commute_margin, edge_margin) >= 1
+    return CommutantCertificate(
+        components if certified else None, gap, cond, commute_margin, edge_margin
+    )
 
 
 def commutant_dimension(ops):
     """Dimension of {X : XT = TX for all T}; 1 certifies irreducibility.
 
-    Decided by commutant_certificate: an eigenbasis graph when its checks
-    pass, else the dense Sylvester solve up to d = 40, else None
-    (uncertified).
+    Decided by commutant_certificate: the number of components of the
+    eigenbasis graph when its checks pass, else None (uncertified).
     """
     return commutant_certificate(ops).dimension
 
-
-def _sylvester_dimension(ops):
-    """Commutant dimension from the stacked Sylvester system on d^2 unknowns,
-    through a dense SVD; singular values below 1e-8 * sigma_max count as
-    zero. The fallback of commutant_certificate and its test oracle.
-    """
-    import numpy as np
-
-    d = _common_dim(ops)
-    eye = np.eye(d)
-    blocks = [np.kron(eye, t) - np.kron(t.T, eye) for t in (op.to_dense() for op in ops)]
-    m = np.vstack(blocks)
-    if not m.any():
-        return d * d
-    sigma = np.linalg.svd(m, compute_uv=False)
-    return int((sigma < 1e-8 * sigma[0]).sum())

@@ -205,7 +205,7 @@ def test_c07_irreducibility_commutant_dimension_one():
         cert = commutant_certificate(ops)
         dims[(n, k)] = cert.dimension
         certs.append(
-            f"({n},{k}) {cert.path} gap {cert.gap:.1e} cond {cert.cond:.1e}"
+            f"({n},{k}) gap {cert.gap:.1e} cond {cert.cond:.1e}"
             f" commute/edge margins {cert.commute_margin:.1e}/{cert.edge_margin:.1e}"
         )
         if expected >= 81:

@@ -619,19 +619,21 @@ def test_rep_verify_loads_no_scipy_on_either_side_of_the_dense_residual_cutoff(t
     assert proc.stderr == "['numpy']\n"
 
 
-def test_uncertified_commutant_fails_at_once_without_scipy(tmp_path):
-    # T0 (+) T0 at (3,21), d = 42: its spectrum repeats, so the spectral path
-    # declines, and above d = 40 no Sylvester solve runs
+@pytest.mark.parametrize("order", [3, 21], ids=["d6", "d42"])
+def test_uncertified_commutant_fails_at_once_without_scipy(tmp_path, order):
+    # T0 (+) T0 at (3,3), d = 6, and at (3,21), d = 42: its spectrum repeats,
+    # so the spectral check declines, and the commutant is uncertified at
+    # either dimension
     from test_reps import direct_sum
 
     from uqson import jsonio, reps
 
-    t0 = reps.build_representation(reps.random_generic_params(3, 21, 0))
+    t0 = reps.build_representation(reps.random_generic_params(3, order, 0))
     rep, report = tmp_path / "rep.json", tmp_path / "report.json"
     jsonio.dump_rep(direct_sum(t0, t0), rep)
     for argv, verdict in (
-        (["rep-verify", "--rep", str(rep), "--q-order", "21", "--commutant",
-          "--out", str(report)], "rep-verify dim=42 tol=1.000e-09: FAIL"),
+        (["rep-verify", "--rep", str(rep), "--q-order", str(order), "--commutant",
+          "--out", str(report)], f"rep-verify dim={2 * order} tol=1.000e-09: FAIL"),
         (["rep-commutant", "--rep", str(rep)], "rep-commutant: FAIL (irreducible iff 1)"),
     ):
         code = (

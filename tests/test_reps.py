@@ -36,7 +36,6 @@ from uqson.reps import (
     _FlatSparse,
     _bracket,
     _qpow_sum,
-    _sylvester_dimension,
     assert_generic,
     build_representation,
     commutant_certificate,
@@ -48,6 +47,7 @@ from uqson.reps import (
     variable_slots,
 )
 
+from commutant_oracle import _sylvester_dimension
 from tableau_oracle import (
     Tableau,
     TopRowShift,
@@ -62,6 +62,14 @@ from test_pbw import relations_with_generator
 
 def operators_by_name(omega):
     return {op.name: op for op in build_representation(omega)}
+
+
+def max_column_nonzeros(op):
+    """The most stored entries in one column of the SparseOperator `op`."""
+    counts = {}
+    for _, c, _ in op.entries:
+        counts[c] = counts.get(c, 0) + 1
+    return max(counts.values(), default=0)
 
 
 def worst_residual(omega):
@@ -256,17 +264,17 @@ def test_sparsity_bounds():
     ops = operators_by_name(random_generic_params(5, 3, 9))
     # odd family I_{2p+1,2p}: at most 2p entries per column (one up, one
     # down per j <= p)
-    assert ops["I32"].max_column_nonzeros() <= 2
-    assert ops["I54"].max_column_nonzeros() <= 4
+    assert max_column_nonzeros(ops["I32"]) <= 2
+    assert max_column_nonzeros(ops["I54"]) <= 4
     # even family I_{2p,2p-1}: 2(p-1) shifts plus one diagonal entry
-    assert ops["I21"].max_column_nonzeros() <= 1
-    assert ops["I43"].max_column_nonzeros() <= 3
+    assert max_column_nonzeros(ops["I21"]) <= 1
+    assert max_column_nonzeros(ops["I43"]) <= 3
 
 
 def test_odd_operator_generic_column_count_is_exactly_2p():
     # generic parameters keep every shift coefficient nonzero
     omega = random_generic_params(5, 3, 9)
-    assert operators_by_name(omega)["I54"].max_column_nonzeros() == 4
+    assert max_column_nonzeros(operators_by_name(omega)["I54"]) == 4
 
 
 def test_rank3_even_operator_is_purely_diagonal():
@@ -591,24 +599,22 @@ def permuted(ops, perm):
 def test_spectral_path_declines_on_isomorphic_direct_sum():
     # T (+) T: the generic element repeats every eigenvalue, and the
     # eigenbasis graph would give 2 where the commutant is 2x2 matrices = 4.
-    # At d = 6 the dense Sylvester solve decides; at (3,21), d = 42 is above
-    # its cap of 40, so T0 (+) T0 is uncertified at once. T0 (+) T1 has a
-    # simple spectrum, and its smallest edge (about 31 beta) certifies 2
+    # The gap gate declines, so T (+) T is uncertified at every d: at d = 6
+    # from (3,3) and at d = 42 from (3,21). T0 (+) T1 has a simple spectrum,
+    # and its smallest edge (about 31 beta) certifies 2
     small = build_representation(random_generic_params(3, 3, 0))
     t0, t1 = (build_representation(random_generic_params(3, 21, seed)) for seed in (0, 1))
-    for first, second, path, dimension in ((small, small, "sylvester", 4),
-                                           (t0, t0, "uncertified", None),
-                                           (t0, t1, "spectral", 2)):
+    for first, second, dimension in ((small, small, None), (t0, t0, None), (t0, t1, 2)):
         cert = commutant_certificate(direct_sum(first, second))
-        assert (cert.path, cert.dimension) == (path, dimension)
+        assert cert.dimension == dimension
         assert (cert.gap < 1e-12) == (first is second)
+    assert _sylvester_dimension(direct_sum(small, small)) == 4
 
 
 def test_spectral_path_splits_non_isomorphic_direct_sum():
     t1 = build_representation(random_generic_params(3, 3, 0))
     t2 = build_representation(random_generic_params(3, 3, 1))
     cert = commutant_certificate(direct_sum(t1, t2))
-    assert cert.path == "spectral"
     assert cert.dimension == 2
     assert min(cert.commute_margin, cert.edge_margin) >= 1
 
@@ -616,10 +622,18 @@ def test_spectral_path_splits_non_isomorphic_direct_sum():
 @pytest.mark.parametrize("n,k", [(4, 8), (4, 10)])
 @pytest.mark.parametrize("seed", range(12))
 def test_even_order_splits_in_two_spectrally(n, k, seed):
-    # two invariant subspaces (README, "Known limitation"); d = 64 and 100
-    # are above the dense Sylvester cap, so the spectral path must decide
+    # two invariant subspaces (README, "Known limitation")
     cert = commutant_certificate(build_representation(random_generic_params(n, k, seed)))
-    assert (cert.path, cert.dimension) == ("spectral", 2)
+    assert cert.dimension == 2
+
+
+# the representations the benchmark's certify chains build (perfbench,
+# CERTIFY_CASES without (4,2), which exits 3 at rep-build; CHAIN_SEEDS = 8)
+@pytest.mark.parametrize("n,k", [(3, 3), (3, 5), (4, 3), (4, 5), (4, 7), (4, 4)])
+def test_benchmark_certify_inputs_are_certified(n, k):
+    for seed in range(8):
+        ops = build_representation(random_generic_params(n, k, seed))
+        assert commutant_certificate(ops).dimension is not None, seed
 
 
 @pytest.mark.parametrize("n,k", [(4, 4), (4, 8)])
@@ -628,7 +642,7 @@ def test_certificate_refuses_a_coupling_below_the_edge_split(n, k):
     # commutator of 10 beta, an entry the 1e-9 edge split counts as zero
     ops = build_representation(random_generic_params(n, k, 0))
     cert = commutant_certificate(ops)
-    assert (cert.path, cert.dimension) == ("spectral", 2)
+    assert cert.dimension == 2
     d = ops[0].dim
     beta = cert.cond**2 * d * reps._UNIT_ROUNDOFF
     dense = [op.to_dense() for op in ops]
@@ -647,37 +661,34 @@ def test_certificate_refuses_a_coupling_below_the_edge_split(n, k):
             (int(i), int(j), complex(t[i, j])) for i, j in zip(*np.nonzero(t))
         )))
     after = commutant_certificate(perturbed)
-    assert (after.path, after.dimension) != ("spectral", 2)
-    if d <= reps._DENSE_SYLVESTER_MAX_DIM:
-        # the lower-bound check declines; the dense Sylvester solve then
-        # decides, and its rank threshold of 1e-8 lies far above the coupling
-        assert after.path == "sylvester" and after.commute_margin < 1
-    else:
-        # no solve runs above the cap: the certificate alone must not give 2
-        assert after.dimension != 2
+    assert after.dimension != 2
+    if (n, k) == (4, 4):
+        # the lower-bound check declines, so the input is uncertified; the
+        # oracle's rank threshold of 1e-8 lies far above the coupling
+        assert after.dimension is None and after.commute_margin < 1
+        assert _sylvester_dimension(perturbed) == 2
 
 
 @pytest.mark.parametrize("n,k", [(3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (4, 5)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_spectral_path_matches_sylvester_oracle(n, k, seed):
     ops = build_representation(random_generic_params(n, k, seed))
-    cert = commutant_certificate(ops)
-    assert cert.path == "spectral"
-    assert cert.dimension == _sylvester_dimension(ops)
+    assert commutant_certificate(ops).dimension == _sylvester_dimension(ops)
 
 
-@pytest.mark.parametrize("entries,dim,path,expected", [
+@pytest.mark.parametrize("entries,dim,certified,exact", [
     # one 1x1 operator: the commutant is all of C
-    ([((0, 0, 2.0),)], 1, "spectral", 1),
-    # zero operators: A = 0 has no gap, and every 3x3 matrix commutes
-    ([(), ()], 3, "sylvester", 9),
+    ([((0, 0, 2.0),)], 1, 1, 1),
+    # zero operators: A = 0 has no gap, so the certificate declines, though
+    # every 3x3 matrix commutes
+    ([(), ()], 3, None, 9),
     # one diagonal operator with distinct entries: the diagonal matrices
-    ([((0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.5))], 3, "spectral", 3),
-])
-def test_commutant_certificate_on_degenerate_inputs(entries, dim, path, expected):
+    ([((0, 0, 1.0), (1, 1, 2.0), (2, 2, 3.5))], 3, 3, 3),
+], ids=["one-1x1", "zero-operators", "distinct-diagonal"])
+def test_commutant_certificate_on_degenerate_inputs(entries, dim, certified, exact):
     ops = [SparseOperator(f"T{i}", dim, e) for i, e in enumerate(entries)]
-    cert = commutant_certificate(ops)
-    assert (cert.path, cert.dimension) == (path, expected)
+    assert commutant_certificate(ops).dimension == certified
+    assert _sylvester_dimension(ops) == exact
 
 
 @settings(max_examples=15, deadline=None)
@@ -687,7 +698,7 @@ def test_commutant_invariant_under_basis_permutation(case, data):
     perm = np.array(data.draw(st.permutations(range(ops[0].dim))))
     before = commutant_certificate(ops)
     after = commutant_certificate(permuted(ops, perm))
-    assert (after.dimension, after.path) == (before.dimension, before.path)
+    assert after.dimension == before.dimension
 
 
 def test_diagonal_vanishes_exactly_where_l_is_zero():
