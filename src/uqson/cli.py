@@ -5,7 +5,10 @@ rep-verify, rep-commutant, embed-verify, psi-verify, params-sample.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or expression
 syntax, 3 degenerate parameter or q value, 4 structural misuse (rank,
-variant, index, dimension), 5 file or format trouble.
+variant, index, dimension), 5 file or format trouble. main maps errors
+to codes with one clause per family of uqson.errors: ExpressionSyntaxError
+2, DegenerateInput 3, StructuralMisuse 4, then any other ValueError or an
+OSError 5.
 
 Each verb imports the modules it runs. Only rep-verify, rep-commutant and
 psi-verify, which compute in floating point, load numpy, whose import costs
@@ -16,24 +19,11 @@ neither numpy nor the PBW kernel.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
 from .coeffring import RootOfUnity
-from .errors import (
-    DegenerateDenominator,
-    DegenerateParameter,
-    DegenerateQ,
-    DimensionMismatch,
-    ExpressionSyntaxError,
-    IndexOutOfRange,
-    ParameterSamplingError,
-    RankMismatch,
-    SingularDenominator,
-    VariantMismatch,
-    ZeroBase,
-)
+from .errors import DegenerateInput, ExpressionSyntaxError, StructuralMisuse
 from .pbw import MINUS, PLUS  # loads the rule table only
 
 EXIT_PASS = 0
@@ -42,21 +32,6 @@ EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_MISUSE = 4
 EXIT_IO = 5
-
-_DEGENERATE = (
-    DegenerateParameter,
-    DegenerateDenominator,
-    SingularDenominator,
-    DegenerateQ,
-    ParameterSamplingError,
-    ZeroBase,
-)
-_MISUSE = (
-    RankMismatch,
-    VariantMismatch,
-    IndexOutOfRange,
-    DimensionMismatch,
-)
 
 
 def _exact_verdict(args, verb, noun, report):
@@ -116,10 +91,10 @@ def cmd_assoc_fuzz(args):
 
 
 def cmd_rep_build(args):
-    from . import jsonio, reps
+    from . import jsonio, params, reps
 
     omega = jsonio.params_from_json(jsonio.load_json(args.params))
-    reps.assert_generic(omega)
+    params.assert_generic(omega)
     ops = reps.build_representation(omega)
     jsonio.dump_rep(ops, args.out)
     nnz = sum(len(op.entries) for op in ops)
@@ -338,13 +313,13 @@ def main(argv=None):
     except ExpressionSyntaxError as exc:
         print(f"error: {exc.msg if exc.msg else exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DEGENERATE as exc:
+    except DegenerateInput as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except _MISUSE as exc:
+    except StructuralMisuse as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISUSE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -2,7 +2,9 @@
 
 Every error raised by library code derives from UqsonError so callers can
 catch broadly; the mixin built-in bases (ValueError, IndexError, ...) keep
-the exceptions usable with idiomatic except clauses.
+the exceptions usable with idiomatic except clauses. Every other class is
+ExpressionSyntaxError or belongs to one of two families, and the family
+alone decides the CLI exit code: DegenerateInput 3, StructuralMisuse 4.
 """
 
 
@@ -10,39 +12,47 @@ class UqsonError(Exception):
     """Base class for all library errors."""
 
 
-class ZeroBase(UqsonError, ValueError):
+class DegenerateInput(UqsonError):
+    """A parameter or q value at which the construction degenerates."""
+
+
+class StructuralMisuse(UqsonError):
+    """Operands or indices that do not fit together (rank, variant, index, dimension)."""
+
+
+class ZeroBase(DegenerateInput, ValueError):
     """Numeric evaluation requested at q = 0."""
 
 
-class DegenerateDenominator(UqsonError, ZeroDivisionError):
+class DegenerateDenominator(DegenerateInput, ZeroDivisionError):
     """q - q**-1 vanishes, so q-brackets are undefined (q = +1 or -1)."""
 
 
-class DegenerateParameter(UqsonError, ValueError):
+class DegenerateParameter(DegenerateInput, ValueError):
     """A representation coefficient denominator vanishes for the given parameters."""
 
 
-class RankMismatch(UqsonError, ValueError):
+class RankMismatch(StructuralMisuse, ValueError):
     """Operands built over different ranks were combined."""
 
 
-class VariantMismatch(UqsonError, ValueError):
+class VariantMismatch(StructuralMisuse, ValueError):
     """Plus-variant and minus-variant elements were mixed."""
 
 
-class IndexOutOfRange(UqsonError, IndexError):
+class IndexOutOfRange(StructuralMisuse, IndexError):
     """A generator or tableau index lies outside the valid range."""
 
 
-class DimensionMismatch(UqsonError, ValueError):
+class DimensionMismatch(StructuralMisuse, ValueError):
     """Matrix operands of incompatible dimensions."""
 
 
-class DegenerateQ(UqsonError, ValueError):
+class DegenerateQ(DegenerateInput, ValueError):
     """The deformation parameter is at a value where the construction degenerates."""
 
 
-class SingularDenominator(UqsonError, ValueError):
+class SingularDenominator(DegenerateInput, ValueError):
     """A matrix that must be inverted is singular at the given q."""
 
 
@@ -54,5 +64,5 @@ class ExpressionSyntaxError(UqsonError, SyntaxError):
         self.column = column
 
 
-class ParameterSamplingError(UqsonError, RuntimeError):
+class ParameterSamplingError(DegenerateInput, RuntimeError):
     """Generic parameter sampling failed to satisfy the margins in the attempt budget."""

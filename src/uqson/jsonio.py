@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 import sys
 from itertools import pairwise
 
@@ -120,10 +119,6 @@ def dump_rep(ops, path):
         fh.write("\n  ]\n}\n")
 
 
-# Largest dimension whose flat cell indices row * dim + col fit in int64
-_MAX_DIM = math.isqrt(2**63 - 1)
-
-
 def rep_from_json(data):
     """Operators from a representation dump. The dimension and each entry's
     row and col must be JSON integers, with 1 <= dim <= _MAX_DIM and
@@ -132,7 +127,7 @@ def rep_from_json(data):
     twice. Each name must be a JSON string. A file with no generator is
     refused too. An entry value is a {re, im} object, or the complex that
     load_rep's parse made of one."""
-    from .reps import SparseOperator  # parameter files never need the operator layer
+    from .reps import _MAX_DIM, SparseOperator  # parameter files never need the operator layer
 
     try:
         dim = _integer(data["dim"], "dim")

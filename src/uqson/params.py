@@ -1,8 +1,9 @@
 """Representation parameters: validation, genericity checks and seeded sampling.
 
 Only the standard library is used here, so drawing and writing a parameter
-file (`params-sample`) needs no numeric stack. `reps` re-exports every name
-defined here.
+file (`params-sample`) needs no numeric stack. `reps` imports _ZERO_TOL and
+variable_slots, which it uses, and random_generic_params, which the benchmark
+launcher patches there; import every other name from here.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ uncertified, at any dimension.
 from __future__ import annotations
 
 import cmath
+import math
 import struct
 from dataclasses import dataclass
 from itertools import product
@@ -28,17 +29,8 @@ from operator import matmul
 
 from .coeffring import qbracket_numeric, qpow_complex
 from .errors import DegenerateParameter, DimensionMismatch
-from .params import (  # the parameter layer, re-exported: these are the same objects
+from .params import (  # random_generic_params: the benchmark launcher times it as reps.sample
     _ZERO_TOL,
-    ParamsOmega,
-    _as_complex,
-    _dist_to_half_integers,
-    _dist_to_integers,
-    _sample_imag_part,
-    _sample_real_part,
-    assert_generic,
-    num_positive_roots,
-    parameter_count,
     random_generic_params,
     variable_slots,
 )
@@ -75,7 +67,10 @@ def _bracket(root, memo, x, label=None):
     try:
         v = memo[key]
     except KeyError:
-        v = memo[key] = qbracket_numeric(x, root)
+        try:
+            v = memo[key] = qbracket_numeric(x, root)
+        except OverflowError as exc:
+            raise DegenerateParameter(f"q-power overflows in bracket [{x}]") from exc
     if label is not None and abs(v) < _ZERO_TOL:
         name = label[0].format(*label[1:])
         raise DegenerateParameter(f"vanishing denominator bracket [{name}] = [{x}]")
@@ -88,7 +83,10 @@ def _qpow_sum(root, memo, x, label):
     try:
         v = memo[key]
     except KeyError:
-        v = memo[key] = qpow_complex(x, root) + qpow_complex(-x, root)
+        try:
+            v = memo[key] = qpow_complex(x, root) + qpow_complex(-x, root)
+        except OverflowError as exc:
+            raise DegenerateParameter(f"q-power overflows in q^l+q^-l at {x}") from exc
     if abs(v) < _ZERO_TOL:
         name = label[0].format(*label[1:])
         raise DegenerateParameter(f"vanishing denominator q^l+q^-l at {name} = {x}")
@@ -250,8 +248,14 @@ def build_representation(omega):
     """Operators for the neighbor generators in order (I21, I32, ..., I_{n,n-1}).
 
     One memo of brackets and q-power sums serves every generator: the same
-    few l-coordinates recur across columns and generators.
+    few l-coordinates recur across columns and generators. A dimension
+    above _MAX_DIM, which no representation file may declare, is refused
+    before anything is built.
     """
+    dim = omega.dimension()
+    if dim > _MAX_DIM:
+        raise DimensionMismatch(f"dim = {dim} is not in 1..{_MAX_DIM}, "
+                                "the dimensions a representation file may declare")
     memo = {}
     return [_shift_operator(omega, memo, s) for s in range(1, omega.n)]
 
@@ -285,6 +289,10 @@ def _summed(dim, cells, re, im):
     seg[order] = np.cumsum(first)
     return _FlatSparse(dim, cells[np.flatnonzero(first)],
                        np.bincount(seg, re)[1:], np.bincount(seg, im)[1:])
+
+
+# Largest dimension whose flat cell indices row * dim + col fit in int64
+_MAX_DIM = math.isqrt(2**63 - 1)
 
 
 class _FlatSparse:

@@ -27,11 +27,11 @@ from uqson.pbw.verify import (
     verify_commutation_relations,
     verify_defining_relations,
 )
+from uqson.params import random_generic_params
 from uqson.reps import (
     build_representation,
     commutant_certificate,
     commutant_dimension,
-    random_generic_params,
     relation_residual,
 )
 
@@ -235,7 +235,7 @@ def test_c08_parameter_count():
 
 
 def test_c09_vanishing_diagonal_when_l_is_zero():
-    from uqson.reps import ParamsOmega, variable_slots
+    from uqson.params import ParamsOmega, variable_slots
 
     base = random_generic_params(4, 3, seed=6)
     h = dict(base.h)

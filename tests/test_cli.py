@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from uqson import cli
+from uqson import cli, errors
+
+from test_public_api import FAMILIES, error_classes, families_of
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_REDUCE = "q*I21*I32 - q^(1/2)*I31\n"
@@ -213,6 +215,54 @@ def test_exit_4_on_structural_misuse(capsys):
     # the rank and mixed Ip/Im markers are checked before the grammar
     assert run(capsys, "pbw-reduce", "--n", "2", "I21*(")[0] == 4
     assert run(capsys, "pbw-reduce", "--n", "3", "Ip31*Im21*(")[0] == 4
+
+
+@pytest.mark.parametrize("cls", error_classes(), ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_family_code(capsys, monkeypatch, cls):
+    # main has one clause per family of uqson.errors, whatever a verb raises
+    exc = cls("boom", 1) if cls is errors.ExpressionSyntaxError else cls("boom")
+
+    def verb(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_relations_verify", verb)
+    code, out, err = run(capsys, "relations-verify", "--n", "3")
+    (family,) = families_of(cls)
+    assert (code, out) == (FAMILIES[family], "")
+    prefix = "error: degenerate input: " if family is errors.DegenerateInput else "error: "
+    assert err == f"{prefix}{exc}\n"
+
+
+def test_exit_3_on_an_overflowing_q_power(capsys, tmp_path):
+    # q^x = exp(2 pi i x / 3) overflows at Im x = -400; cmath's OverflowError
+    # used to escape as a traceback with exit 1
+    params, rep = tmp_path / "omega.json", tmp_path / "rep.json"
+    run(capsys, "params-sample", "--n", "3", "--order", "3", "--seed", "0", "--out", str(params))
+    data = json.loads(params.read_text())
+    data["h"][0]["value"]["im"] = -400
+    params.write_text(json.dumps(data))
+    proc = run_process([sys.executable, "-m", "uqson.cli", "rep-build",
+                        "--params", str(params), "--out", str(rep)])
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: degenerate input: q-power overflows in bracket [(0.420571580830845-400j)]\n"
+    )
+    assert not rep.exists()
+
+
+def test_rep_build_refuses_a_dimension_no_file_may_declare(capsys, tmp_path):
+    # (10,3) has dimension 3^20, above the 3037000499 a representation file
+    # may declare; the build used to start tiling it until memory ran out
+    params, rep = tmp_path / "omega.json", tmp_path / "rep.json"
+    code, _, _ = run(capsys, "params-sample", "--n", "10", "--order", "3", "--seed", "0",
+                     "--out", str(params))
+    assert code == 0
+    proc = run_process([sys.executable, "-m", "uqson.cli", "rep-build",
+                        "--params", str(params), "--out", str(rep)], timeout=10)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("error: dim = 3486784401 is not in 1..3037000499, "
+                           "the dimensions a representation file may declare\n")
+    assert not rep.exists()
 
 
 def test_exit_5_on_missing_or_malformed_files(capsys, tmp_path):

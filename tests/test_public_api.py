@@ -1,7 +1,8 @@
 """The package's public names: every exported name resolves, the lazily
-loaded ones are the objects their modules define, the parameter layer
-that `reps` re-exports from `params` is one set of objects, not a copy, and
-every error class in `uqson.errors` is raised somewhere in the package.
+loaded ones are the objects their modules define, the few names of the
+parameter layer that `reps` holds are the objects `params` defines, not
+copies, every error class in `uqson.errors` is raised somewhere in the
+package, and each belongs to the one family that decides its exit code.
 
 Tools that patch a function wherever a uqson module holds it (the traced
 benchmark launcher does) rely on that identity.
@@ -18,8 +19,8 @@ import pytest
 import uqson
 from uqson import errors, params, pbw, reps
 
-# names defined in uqson.params and re-exported by uqson.reps
-MOVED = (
+# names defined in uqson.params
+PARAMS_NAMES = (
     "_ZERO_TOL",
     "variable_slots",
     "num_positive_roots",
@@ -33,6 +34,17 @@ MOVED = (
     "_sample_imag_part",
     "random_generic_params",
 )
+# the ones reps holds: it uses the first two, and re-exports the last
+# because the benchmark launcher patches it as reps.sample
+USED_BY_REPS = ("_ZERO_TOL", "variable_slots")
+MOVED = ("random_generic_params",)
+
+# the exit-code families of uqson.errors, each a base class, and their codes
+FAMILIES = {
+    errors.ExpressionSyntaxError: 2,
+    errors.DegenerateInput: 3,
+    errors.StructuralMisuse: 4,
+}
 
 
 @pytest.mark.parametrize("module", [uqson, pbw], ids=lambda m: m.__name__)
@@ -63,16 +75,16 @@ def test_lazy_names_are_the_defining_modules_objects():
     assert pbw.associativity_fuzz is sys.modules["uqson.pbw.fuzz"].associativity_fuzz
 
 
-@pytest.mark.parametrize("name", MOVED)
+@pytest.mark.parametrize("name", PARAMS_NAMES)
 def test_reps_reexports_params_objects(name):
-    assert getattr(reps, name) is getattr(params, name)
+    assert (name in vars(reps)) == (name in USED_BY_REPS + MOVED)
     obj = getattr(params, name)
     holders = {
         mod.__name__: vars(mod)[name]
         for mod in list(sys.modules.values())
         if getattr(mod, "__name__", "").startswith("uqson") and name in vars(mod)
     }
-    assert {"uqson.params", "uqson.reps"} <= set(holders)
+    assert "uqson.params" in holders
     assert all(value is obj for value in holders.values())
 
 
@@ -103,8 +115,29 @@ def test_every_error_class_is_raised_in_the_package():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
-    defined = {
-        name for name, obj in vars(errors).items()
+    defined = {cls.__name__ for cls in error_classes()}
+    assert sorted(defined - raised) == []
+
+
+def error_classes():
+    """Every error class of uqson.errors but the bases: UqsonError and the
+    families no code raises as such."""
+    return [
+        obj for obj in vars(errors).values()
         if isinstance(obj, type) and issubclass(obj, errors.UqsonError)
+        and obj not in (errors.UqsonError, errors.DegenerateInput, errors.StructuralMisuse)
+    ]
+
+
+def families_of(cls):
+    return [family for family in FAMILIES if issubclass(cls, family)]
+
+
+def test_every_error_class_belongs_to_one_family():
+    # cli.main has one except clause per family, so a class outside every
+    # family would exit 5 as a file error, or 1 with a traceback
+    classes = error_classes()
+    assert classes
+    assert {cls.__name__: len(families_of(cls)) for cls in classes} == {
+        cls.__name__: 1 for cls in classes
     }
-    assert sorted(defined - raised - {"UqsonError"}) == []

@@ -20,12 +20,8 @@ import pytest
 
 from uqson import jsonio
 from uqson.errors import DegenerateParameter
-from uqson.reps import (
-    ParamsOmega,
-    assert_generic,
-    build_representation,
-    random_generic_params,
-)
+from uqson.params import ParamsOmega, assert_generic, random_generic_params
+from uqson.reps import build_representation
 
 # (n, k, seed, t) -> sha256 of the params-sample JSON
 PARAMS_DIGESTS = {

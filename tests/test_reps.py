@@ -28,23 +28,25 @@ from uqson.errors import (
     IndexOutOfRange,
     RankMismatch,
 )
-from uqson.pbw.verify import defining_relation_residuals
+from uqson.pbw.verify import defining_relation_instances, defining_relation_residuals
+from uqson.params import (
+    ParamsOmega,
+    assert_generic,
+    num_positive_roots,
+    parameter_count,
+    random_generic_params,
+    variable_slots,
+)
 from uqson.reps import (
     _DENSE_RESIDUAL_MAX_DIM,
-    ParamsOmega,
     SparseOperator,
     _FlatSparse,
     _bracket,
     _qpow_sum,
-    assert_generic,
     build_representation,
     commutant_certificate,
     commutant_dimension,
-    num_positive_roots,
-    parameter_count,
-    random_generic_params,
     relation_residual,
-    variable_slots,
 )
 
 from commutant_oracle import _sylvester_dimension
@@ -190,6 +192,17 @@ def test_denominator_checks_run_on_a_memo_hit():
     for _ in range(2):  # q^l + q^-l = 2 cos(pi/2) = 0 at k = 3
         with pytest.raises(DegenerateParameter, match=r"^vanishing denominator q\^l\+q\^-l"):
             _qpow_sum(root, memo, 0.75 + 0j, "l_1,2")
+
+
+def test_an_overflowing_q_power_is_a_degenerate_parameter():
+    # q^x = exp(2 pi i x / 3) overflows once |Im x| passes about 339
+    root = RootOfUnity(3, 1)
+    message = r"^q-power overflows in bracket \[\(0\.4-400j\)\]$"
+    with pytest.raises(DegenerateParameter, match=message):
+        _bracket(root, {}, complex(0.4, -400))
+    message = r"^q-power overflows in q\^l\+q\^-l at \(0\.4\+400j\)$"
+    with pytest.raises(DegenerateParameter, match=message):
+        _qpow_sum(root, {}, complex(0.4, 400), "l_1,2")
 
 
 # -- parameter container --------------------------------------------------------
@@ -362,19 +375,72 @@ def dense_residual_oracle(ops, root):
     ]
 
 
-# The dense and sparse paths round differently, so their residuals, each
-# rounding noise of 1e-14 to 1e-11 here, differ by up to 9.9e-13 at (4,17)
-# seed 0 (serre-b[3]: 5.512e-12 dense, 4.522e-12 sparse)
-RESIDUAL_PATHS_ATOL = 1e-12
+def rounding_bounds(ops, root):
+    """Per relation, how far two evaluations of its max-entry residual, in
+    any summation order, may lie apart: 2 gamma_m max S (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3), gamma_m = mu / (1 - mu)
+    with u the unit roundoff, and S the sum over the relation's terms of the
+    product of its factors' entrywise absolute values.
+
+    Every product's right factor is a generator, so each entry of a product
+    sums at most w nonzero terms, w the most stored entries in a
+    generator's column; exact zeros add no rounding, so the dense path's
+    d-term inner products round like w-term ones. A complex inner product
+    of w terms carries gamma_{w+2} (Higham section 3.6), two in sequence
+    gamma_{2w+4}, the scalar [2] adds sqrt(2) gamma_2 <= gamma_3 and the
+    three sums gamma_3: m = 2w + 10. Each path lies within gamma_m S of the
+    exact residual of the stored entries, so the two differ by at most
+    twice that."""
+    q = root.value()
+    qq = abs(q + 1 / q)
+    g = [np.abs(op.to_dense()) for op in ops]
+    m = 2 * max(max_column_nonzeros(op) for op in ops) + 10
+    gamma = m * reps._UNIT_ROUNDOFF / (1 - m * reps._UNIT_ROUNDOFF)
+    bounds = []
+    # the terms of defining_relation_residuals, each factor by its absolute value
+    for _, kind, idx in defining_relation_instances(len(ops) + 1):
+        if kind == "commute":
+            a, b = (g[i - 2] for i in idx)
+            terms = a @ b + b @ a
+        else:
+            a, b = g[idx[0] - 2], g[idx[0] - 1]
+            if kind == "serre-b":
+                a, b = b, a
+            terms = a @ a @ b + qq * (a @ b @ a) + b @ a @ a + b
+        bounds.append(2 * gamma * float(terms.max(initial=0.0)))
+    return bounds
+
+
+def assert_within_rounding_bounds(got, want, bounds):
+    """The largest fraction of its rounding bound a relation's gap uses."""
+    assert [e["relation"] for e in got] == [name for name, _ in want]
+    used = [
+        abs(entry["residual"] - value) / bound if entry["residual"] != value else 0.0
+        for entry, (_, value), bound in zip(got, want, bounds)
+    ]
+    assert max(used) <= 1, f"residual paths use {max(used):.3g} of the rounding bound"
+    return max(used)
 
 
 def assert_residual_paths_agree(ops, root):
     got = relation_residual(ops, root)
     want = dense_residual_oracle(ops, root)
-    assert [e["relation"] for e in got] == [name for name, _ in want]
-    for entry, (_, value) in zip(got, want):
-        assert entry["residual"] == pytest.approx(value, rel=0, abs=RESIDUAL_PATHS_ATOL)
+    used = assert_within_rounding_bounds(got, want, rounding_bounds(ops, root))
+    print(f"residual paths at d={ops[0].dim}: {used:.2%} of the rounding bound used")
     return got, want
+
+
+def test_a_gap_of_ten_rounding_bounds_fails_the_path_comparison():
+    omega = random_generic_params(4, 17, 0)
+    ops = build_representation(omega)
+    want = dense_residual_oracle(ops, omega.root)
+    bounds = rounding_bounds(ops, omega.root)
+    for i, bound in enumerate(bounds):
+        got = [{"relation": name, "residual": value} for name, value in want]
+        assert assert_within_rounding_bounds(got, want, bounds) == 0.0
+        got[i]["residual"] += 10 * bound
+        with pytest.raises(AssertionError, match="residual paths use 10 of the rounding bound"):
+            assert_within_rounding_bounds(got, want, bounds)
 
 
 @pytest.mark.parametrize("n,k,dense", [(5, 4, True), (4, 17, False)],
@@ -418,7 +484,7 @@ def test_sparse_residual_does_not_depend_on_the_dimension():
     ops = build_representation(omega)
     reports = [
         relation_residual([SparseOperator(op.name, dim, op.entries) for op in ops], omega.root)
-        for dim in (300, jsonio._MAX_DIM)
+        for dim in (300, reps._MAX_DIM)
     ]
     assert reports[0] == reports[1]
     assert max(e["residual"] for e in reports[0]) < 1e-9
