@@ -12,44 +12,17 @@ from .coeffring import LaurentPoly, RootOfUnity, qnumber
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement",
-    "LaurentPoly",
-    "MINUS",
-    "PLUS",
-    "ParamsOmega",
-    "RootOfUnity",
-    "__version__",
-    "bracket_generator",
-    "build_representation",
-    "coeffring",
-    "djembed",
-    "errors",
-    "jsonio",
-    "qcommutator",
-    "qnumber",
-    "random_generic_params",
-    "reps",
-    "verify_commutation_relations",
-    "verify_defining_relations",
-]
-
-# public name -> submodule that defines it (a submodule maps to itself)
-_LAZY = {
-    "djembed": "djembed",
-    "jsonio": "jsonio",
-    "pbw": "pbw",
-    "reps": "reps",
-    "AlgebraElement": "pbw",
-    "MINUS": "pbw",
-    "PLUS": "pbw",
-    "ParamsOmega": "params",
-    "bracket_generator": "pbw",
-    "build_representation": "reps",
-    "qcommutator": "pbw",
-    "random_generic_params": "params",
-    "verify_commutation_relations": "pbw",
-    "verify_defining_relations": "pbw",
+# submodule -> the public names loaded from it on first access
+_EXPORTS = {
+    "djembed": ("djembed",),
+    "jsonio": ("jsonio",),
+    "params": ("ParamsOmega", "random_generic_params"),
+    "pbw": ("pbw", "AlgebraElement", "MINUS", "PLUS", "bracket_generator", "qcommutator",
+            "verify_commutation_relations", "verify_defining_relations"),
+    "reps": ("reps", "build_representation"),
 }
 
-__getattr__, __dir__ = lazy_attributes(globals(), _LAZY)
+__all__, __getattr__, __dir__ = lazy_attributes(
+    globals(), _EXPORTS,
+    eager=("LaurentPoly", "RootOfUnity", "__version__", "coeffring", "errors", "qnumber"),
+)

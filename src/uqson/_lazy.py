@@ -3,15 +3,18 @@
 import importlib
 
 
-def lazy_attributes(namespace, sources):
-    """`__getattr__` and `__dir__` for the package whose globals are `namespace`.
+def lazy_attributes(namespace, exports, eager=()):
+    """`__all__`, `__getattr__` and `__dir__` for the package whose globals
+    are `namespace`.
 
-    `sources` maps each lazy name to the submodule that defines it; a
-    submodule mapped to itself is the module. The first access imports the
-    submodule and binds the name in the package, so later lookups are plain
-    attribute reads. Unknown names raise AttributeError.
+    `exports` maps each submodule to the public names it defines; a name
+    equal to its submodule's is the module. `__all__` is those names and the
+    `eager` ones the package binds itself, sorted. The first access imports
+    the submodule and binds the name in the package, so later lookups are
+    plain attribute reads. Unknown names raise AttributeError.
     """
     package = namespace["__name__"]
+    sources = {name: source for source, names in exports.items() for name in names}
 
     def __getattr__(name):
         try:
@@ -24,6 +27,6 @@ def lazy_attributes(namespace, sources):
         return value
 
     def __dir__():
-        return sorted(set(namespace) | set(namespace["__all__"]))
+        return sorted(set(namespace) | set(sources))
 
-    return __getattr__, __dir__
+    return sorted([*sources, *eager]), __getattr__, __dir__

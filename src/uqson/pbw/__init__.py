@@ -14,12 +14,8 @@ _EXPORTS = {
     "classical": ("classical_generator", "verify_classical_limit"),
     "fuzz": ("associativity_fuzz", "random_monomial"),
     "printing": ("element_to_str", "generator_name"),
-    "verify": ("all_pass", "commutation_relation_instances", "defining_relation_instances",
-               "defining_relation_residuals", "verify_commutation_relations",
-               "verify_defining_relations"),
+    "verify": ("all_pass", "defining_relation_instances", "defining_relation_residuals",
+               "verify_commutation_relations", "verify_defining_relations"),
 }
-_LAZY = {name: source for source, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_LAZY)
-
-__getattr__, __dir__ = lazy_attributes(globals(), _LAZY)
+__all__, __getattr__, __dir__ = lazy_attributes(globals(), _EXPORTS)

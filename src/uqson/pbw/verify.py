@@ -2,7 +2,9 @@
 
 Every check reduces a relation to PBW normal form and asserts exact zero (or
 exact equality of the two sides); reports carry one entry per relation
-instance so failures identify the offending indices.
+instance so failures identify the offending indices. The derived commutation
+families are one table of identities over the composite generators, each
+generator built once.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import operator
 from itertools import combinations
 
 from ..coeffring import LaurentPoly, qnumber
-from ._rules import PLUS, check_rank
+from ._rules import PLUS, check_rank, gen_pairs
 from .algebra import AlgebraElement, bracket_generator, qcommutator
 
 
@@ -63,68 +65,39 @@ def verify_defining_relations(n, variant=PLUS):
     ]
 
 
-def commutation_relation_instances(n):
-    """All derived-relation instances: three chain identities per index
-    triple, two vanishing commutators and one crossing identity per index
-    quadruple."""
-    check_rank(n)
-    out = []
-    for m, l, k in combinations(range(1, n + 1), 3):
-        out.append((f"chain-lower[{k},{l},{m}]", "chain-lower", (k, l, m)))
-        out.append((f"chain-outer[{k},{l},{m}]", "chain-outer", (k, l, m)))
-        out.append((f"chain-upper[{k},{l},{m}]", "chain-upper", (k, l, m)))
-    for d, c, b, a in combinations(range(1, n + 1), 4):
-        out.append((f"disjoint[{a},{b},{c},{d}]", "disjoint", (a, b, c, d)))
-        out.append((f"nested[{a},{b},{c},{d}]", "nested", (a, b, c, d)))
-        out.append((f"crossing[{a},{b},{c},{d}]", "crossing", (a, b, c, d)))
-    return out
-
-
 def verify_commutation_relations(n, variant=PLUS):
     """Check the four derived commutation families through normal forms.
 
-    Both sides are built from bracket_generator output (not raw basis
-    letters), so this also re-verifies the recursion against the rule table.
-    The minus variant uses the mirrored bracket deformation throughout.
+    Each composite generator I[k,l] is built once by bracket_generator (not
+    taken as a raw basis letter), so this also re-verifies the recursion
+    against the rule table. Each identity is a left and a right side: three
+    chain identities per index triple k > l > m, then, per index quadruple
+    a > b > c > d, a vanishing commutator of the disjoint pairs and of the
+    nested pairs, and one crossing identity. The minus variant uses the
+    mirrored bracket deformation throughout.
     """
+    g = {(k, l): bracket_generator(n, k, l, variant) for k, l in gen_pairs(n)}
     power = 1 if variant == PLUS else -1
-    scale = LaurentPoly.q(1) - LaurentPoly.q(-1)
-    if variant != PLUS:
-        scale = -scale
+    scale = LaurentPoly.q(power) - LaurentPoly.q(-power)
+    zero = AlgebraElement.zero(n, variant)
 
-    def gen(k, l):
-        return bracket_generator(n, k, l, variant)
-
-    report = []
-    for name, kind, idx in commutation_relation_instances(n):
-        if kind == "chain-lower":
-            k, l, m = idx
-            lhs = qcommutator(gen(l, m), gen(k, l), power)
-            rhs = gen(k, m)
-        elif kind == "chain-outer":
-            k, l, m = idx
-            lhs = qcommutator(gen(k, l), gen(k, m), power)
-            rhs = gen(l, m)
-        elif kind == "chain-upper":
-            k, l, m = idx
-            lhs = qcommutator(gen(k, m), gen(l, m), power)
-            rhs = gen(k, l)
-        elif kind == "disjoint":
-            a, b, c, d = idx
-            lhs = qcommutator(gen(a, b), gen(c, d), 0)
-            rhs = AlgebraElement.zero(n, variant)
-        elif kind == "nested":
-            a, b, c, d = idx
-            lhs = qcommutator(gen(a, d), gen(b, c), 0)
-            rhs = AlgebraElement.zero(n, variant)
-        else:
+    def identities():
+        for m, l, k in combinations(range(1, n + 1), 3):
+            idx = f"[{k},{l},{m}]"
+            yield "chain-lower" + idx, qcommutator(g[l, m], g[k, l], power), g[k, m]
+            yield "chain-outer" + idx, qcommutator(g[k, l], g[k, m], power), g[l, m]
+            yield "chain-upper" + idx, qcommutator(g[k, m], g[l, m], power), g[k, l]
+        for d, c, b, a in combinations(range(1, n + 1), 4):
+            idx = f"[{a},{b},{c},{d}]"
+            yield "disjoint" + idx, qcommutator(g[a, b], g[c, d], 0), zero
+            yield "nested" + idx, qcommutator(g[a, d], g[b, c], 0), zero
             # crossing pairs close under the plain commutator; the deformed
             # bracket picks up an extra (q^(1/2)-q^(-1/2)) Y*X term instead
-            a, b, c, d = idx
-            lhs = qcommutator(gen(a, c), gen(b, d), 0)
-            rhs = scale * (gen(c, d) * gen(a, b) - gen(a, d) * gen(b, c))
-        report.append({"relation": name, "exact_zero": (lhs - rhs).is_zero()})
-    return report
+            yield ("crossing" + idx, qcommutator(g[a, c], g[b, d], 0),
+                   scale * (g[c, d] * g[a, b] - g[a, d] * g[b, c]))
+
+    return [{"relation": name, "exact_zero": (lhs - rhs).is_zero()}
+            for name, lhs, rhs in identities()]
 
 
 def all_pass(report):

@@ -265,6 +265,38 @@ def test_rep_build_refuses_a_dimension_no_file_may_declare(capsys, tmp_path):
     assert not rep.exists()
 
 
+# runs the CLI with its address space capped at 1 GiB, so that a
+# certificate that did start on a large dimension fails at once
+CAPPED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+    "from uqson.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("verb", ["rep-commutant", "rep-verify"])
+def test_exit_4_on_a_commutant_past_its_dimension_limit(tmp_path, verb):
+    # the certificate's dense matrices need about 433 B * d^2; at d = 4096
+    # it used to run out of memory with a traceback and exit 1
+    from uqson import reps
+
+    dim = reps._COMMUTANT_MAX_DIM + 1
+    one = {"re": 1.0, "im": 0.0}
+    rep, report = tmp_path / "rep.json", tmp_path / "report.json"
+    rep.write_text(json.dumps({"dim": dim, "generators": [
+        {"name": "I21", "entries": [[0, 1, one]]}, {"name": "I32", "entries": [[1, 2, one]]}]}))
+    argv = {"rep-commutant": ["rep-commutant", "--rep", str(rep)],
+            "rep-verify": ["rep-verify", "--rep", str(rep), "--q-order", "3", "--commutant",
+                           "--out", str(report)]}[verb]
+    proc = run_process([sys.executable, "-c", CAPPED_CLI, *argv], timeout=20)
+    assert proc.returncode == 4
+    assert proc.stderr == (f"error: commutant certificate: dim = {dim} is above its limit "
+                           f"{dim - 1} (its dense matrices need about 433 B * dim^2)\n")
+    assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+    assert not report.exists()
+
+
 def test_exit_5_on_missing_or_malformed_files(capsys, tmp_path):
     code, _, _ = run(capsys, "rep-build", "--params", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out.json"))

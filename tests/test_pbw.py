@@ -8,6 +8,7 @@ suites assert exact zero in the coefficient ring, no tolerances anywhere.
 
 from __future__ import annotations
 
+import hashlib
 import operator
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ import pytest
 
 from uqson.coeffring import HALF, LaurentPoly, qnumber
 from uqson.errors import IndexOutOfRange, RankMismatch, VariantMismatch
+from uqson.pbw import verify as verify_module
 from uqson.pbw import (
     MINUS,
     PLUS,
@@ -175,6 +177,69 @@ def test_defining_relations_exact(n):
 def test_commutation_relations_exact(n, variant):
     report = verify_commutation_relations(n, variant)
     assert all(entry["exact_zero"] for entry in report)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_commutation_relations_build_each_generator_once(monkeypatch, n):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return bracket_generator(*args)
+
+    monkeypatch.setattr(verify_module, "bracket_generator", counted)
+    verify_commutation_relations(n, MINUS)
+    assert sorted(calls) == sorted(gen_pairs(n))
+    assert len(calls) == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("variant", [PLUS, MINUS])
+def test_commutation_relation_names_are_pinned(variant):
+    # sha256 of the names joined by newlines, in report order, as the
+    # instance list that preceded the one-table verifier emitted them
+    names = [entry["relation"] for entry in verify_commutation_relations(6, variant)]
+    assert len(names) == 105
+    assert hashlib.sha256("\n".join(names).encode()).hexdigest() == (
+        "45cdbf196b52952edf57561f652b1225aa23290ddb67efe58b2ea8d5bd0f4b37"
+    )
+
+
+def commutation_generators(name):
+    """The pairs (k, l) of the I[k,l] that the identity `name` holds: a chain
+    identity at [k,l,m] and a crossing one at [a,b,c,d] hold every pair of
+    their indices, disjoint the pairs (a,b), (c,d), nested (a,d), (b,c)."""
+    family, idx = name.rstrip("]").split("[")
+    i = tuple(int(x) for x in idx.split(","))
+    if family == "disjoint":
+        return {(i[0], i[1]), (i[2], i[3])}
+    if family == "nested":
+        return {(i[0], i[3]), (i[1], i[2])}
+    return {(x, y) for x in i for y in i if x > y}
+
+
+@pytest.mark.parametrize("pair", [(2, 1), (4, 2), (5, 1), (5, 4)])
+def test_commutation_relations_flag_a_doubled_generator(monkeypatch, pair):
+    # every side is linear or bilinear in the I[k,l], so a doubled I[k,l]
+    # breaks only identities that hold it, and every chain identity holding
+    # it: 2 * its side no longer matches the other
+    def doubled(n, k, l, variant):
+        value = bracket_generator(n, k, l, variant)
+        return 2 * value if (k, l) == pair else value
+
+    monkeypatch.setattr(verify_module, "bracket_generator", doubled)
+    report = verify_commutation_relations(5)
+    flagged = {entry["relation"] for entry in report if not entry["exact_zero"]}
+    holding = {entry["relation"] for entry in report
+               if pair in commutation_generators(entry["relation"])}
+    assert flagged and flagged <= holding
+    assert {name for name in holding if name.startswith("chain-")} <= flagged
+
+
+def test_commutation_relations_refuse_bad_rank_and_variant():
+    with pytest.raises(RankMismatch):
+        verify_commutation_relations(2)
+    with pytest.raises(VariantMismatch):
+        verify_commutation_relations(3, "sideways")
 
 
 def test_serre_relation_spelled_out():

@@ -54,6 +54,18 @@ def test_every_exported_name_resolves(module):
     assert set(module.__all__) <= set(dir(module))
 
 
+@pytest.mark.parametrize("module", [uqson, pbw], ids=lambda m: m.__name__)
+def test_every_name_in_the_export_table_is_public(module):
+    # one table per package lists each lazy name, and __all__ is derived
+    # from it: uqson's hand-kept __all__ had drifted from its lookup, and
+    # left out pbw
+    table = [name for names in module._EXPORTS.values() for name in names]
+    assert len(table) == len(set(table))
+    assert set(table) <= set(module.__all__)
+    assert list(module.__all__) == sorted(module.__all__)
+    assert "pbw" in uqson.__all__
+
+
 def test_star_import_binds_every_exported_name():
     namespace = {}
     exec("from uqson import *", namespace)

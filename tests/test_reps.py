@@ -641,6 +641,40 @@ def test_commutant_rejects_mixed_dimensions():
         relation_residual(a + b, RootOfUnity(3))
 
 
+def test_commutant_certificate_refuses_a_dimension_above_its_limit(monkeypatch):
+    # the (3,3) operators re-declared one past the limit are refused before
+    # any dense matrix is made; (5,6) = 1296 stays below it
+    def no_dense(op):
+        raise AssertionError(f"{op.name} made dense")
+
+    limit = reps._COMMUTANT_MAX_DIM
+    ops = [SparseOperator(op.name, limit + 1, op.entries)
+           for op in build_representation(random_generic_params(3, 3, 0))]
+    monkeypatch.setattr(SparseOperator, "to_dense", no_dense)
+    with pytest.raises(DimensionMismatch,
+                       match=rf"dim = {limit + 1} is above its limit {limit} "):
+        commutant_certificate(ops)
+    assert 6**4 <= limit
+
+
+def test_a_cell_split_in_two_entries_reads_as_their_sum_on_the_dense_path():
+    # one cell's value v given as two entries of v/2: the dense path used to
+    # keep the last entry, where the sparse path sums them
+    omega = random_generic_params(3, 3, 0)
+    ops = build_representation(omega)
+    op = ops[1]
+    (r, c, v), rest = op.entries[0], op.entries[1:]
+    assert v != 0
+    split = SparseOperator(op.name, op.dim, ((r, c, v / 2), (r, c, v / 2)) + rest)
+    assert split.to_dense().view(np.uint64).tolist() == op.to_dense().view(np.uint64).tolist()
+    assert op.dim <= _DENSE_RESIDUAL_MAX_DIM
+    want = relation_residual(ops, omega.root)
+    got = relation_residual([ops[0], split], omega.root)
+    assert [(e["relation"], e["residual"].hex()) for e in got] == [
+        (e["relation"], e["residual"].hex()) for e in want
+    ]
+
+
 def direct_sum(first, second):
     """Block-diagonal operators T1 (+) T2, generator by generator."""
     shift = first[0].dim
