@@ -8,7 +8,8 @@ syntax, 3 degenerate parameter or q value, 4 structural misuse (rank,
 variant, index, dimension), 5 file or format trouble. main maps errors
 to codes with one clause per family of uqson.errors: ExpressionSyntaxError
 2, DegenerateInput 3, StructuralMisuse 4, then any other ValueError or an
-OSError 5.
+OSError 5. Each checking verb ends in one verdict line, `...: PASS` or
+`...: FAIL`, which _verdict writes while it picks exit 0 or 1.
 
 Each verb imports the modules it runs. Only rep-verify, rep-commutant and
 psi-verify, which compute in floating point, load numpy, whose import costs
@@ -34,13 +35,17 @@ EXIT_MISUSE = 4
 EXIT_IO = 5
 
 
+def _verdict(ok, head, tail=""):
+    """Print a checking verb's last line, `head: PASS|FAIL tail`; return its exit code."""
+    print(f"{head}: {'PASS' if ok else 'FAIL'}{tail}")
+    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+
+
 def _exact_verdict(args, verb, noun, report):
     for entry in report:
         print(f"{entry['relation']}: exact-zero: {'true' if entry['exact_zero'] else 'false'}")
-    ok = all(entry["exact_zero"] for entry in report)
-    print(f"{verb} n={args.n} variant={args.variant}: "
-          f"{'PASS' if ok else 'FAIL'} ({len(report)} {noun})")
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _verdict(all(entry["exact_zero"] for entry in report),
+                    f"{verb} n={args.n} variant={args.variant}", f" ({len(report)} {noun})")
 
 
 def _default_rep_tol(dim):
@@ -82,12 +87,8 @@ def cmd_assoc_fuzz(args):
         print(f"  a = {failure['a']}")
         print(f"  b = {failure['b']}")
         print(f"  c = {failure['c']}")
-    print(
-        f"assoc-fuzz n={args.n} degree={args.degree} trials={args.trials} "
-        f"seed={args.seed} variant={args.variant}: "
-        f"{'PASS' if report['pass'] else 'FAIL'}"
-    )
-    return EXIT_PASS if report["pass"] else EXIT_CHECK_FAILED
+    return _verdict(report["pass"], f"assoc-fuzz n={args.n} degree={args.degree} "
+                    f"trials={args.trials} seed={args.seed} variant={args.variant}")
 
 
 def cmd_rep_build(args):
@@ -112,20 +113,19 @@ def cmd_rep_verify(args):
     root = RootOfUnity(args.q_order, args.q_t)
     dim = ops[0].dim
     tol = args.tol if args.tol is not None else _default_rep_tol(dim)
+    cdim = reps.commutant_dimension(ops) if args.commutant else None  # refuses a large d first
     report = reps.relation_residual(ops, root)
     for entry in report:
         print(f"{entry['relation']}: residual: {entry['residual']:.3e}")
     ok = all(entry["residual"] < tol for entry in report)  # a nan residual fails
     artifacts = list(report)
     if args.commutant:
-        cdim = reps.commutant_dimension(ops)
         artifacts.append({"commutantDim": cdim})
         print(f"commutant-dim: {'uncertified' if cdim is None else cdim}")
         ok = ok and cdim == 1
     if args.out:
         jsonio.dump_json(artifacts, args.out)
-    print(f"rep-verify dim={dim} tol={tol:.3e}: {'PASS' if ok else 'FAIL'}")
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _verdict(ok, f"rep-verify dim={dim} tol={tol:.3e}")
 
 
 def cmd_rep_commutant(args):
@@ -134,8 +134,7 @@ def cmd_rep_commutant(args):
     ops = jsonio.load_rep(args.rep)
     cdim = reps.commutant_dimension(ops)
     print(f"commutant-dim: {'uncertified' if cdim is None else cdim}")
-    print(f"rep-commutant: {'PASS' if cdim == 1 else 'FAIL'} (irreducible iff 1)")
-    return EXIT_PASS if cdim == 1 else EXIT_CHECK_FAILED
+    return _verdict(cdim == 1, "rep-commutant", " (irreducible iff 1)")
 
 
 def cmd_embed_verify(args):
@@ -148,8 +147,7 @@ def cmd_embed_verify(args):
     ok = all_pass(report)
     if args.out:
         jsonio.dump_json(report, args.out)
-    print(f"embed-verify n={args.n}: {'PASS' if ok else 'FAIL'} ({len(report)} checks)")
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _verdict(ok, f"embed-verify n={args.n}", f" ({len(report)} checks)")
 
 
 def cmd_psi_verify(args):
@@ -171,11 +169,8 @@ def cmd_psi_verify(args):
     ok = all_pass(report)
     if args.out:
         jsonio.dump_json(report, args.out)
-    print(
-        f"psi-verify twoj={args.twoj} samples={args.samples} seed={args.seed} "
-        f"tol={args.tol:.1e}: {'PASS' if ok else 'FAIL'}"
-    )
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return _verdict(ok, f"psi-verify twoj={args.twoj} samples={args.samples} "
+                    f"seed={args.seed} tol={args.tol:.1e}")
 
 
 def cmd_params_sample(args):

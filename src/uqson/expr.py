@@ -59,11 +59,8 @@ def tokenize(src):
             raise ExpressionSyntaxError(
                 f"unexpected character {rest[0]!r}", column=col
             )
-        for kind in ("gen", "num", "q", "op"):
-            text = m.group(kind)
-            if text is not None:
-                tokens.append(Token(kind, text, m.start(kind) + 1))
-                break
+        kind = m.lastgroup  # the one named group that matched
+        tokens.append(Token(kind, m.group(kind), m.start(kind) + 1))
         pos = m.end()
     return tokens
 
@@ -112,6 +109,14 @@ class _Evaluator:
         if tok.kind != "op" or tok.text != text:
             self._fail(f"expected {text!r}, found {tok.text!r}", column=tok.column)
         self.i += 1
+        return tok
+
+    def _integer(self, message, only=None):
+        """The INT token taken next, whose text must be `only` if given; any
+        other token fails with message at its column."""
+        tok = self.take()
+        if tok.kind != "num" or only not in (None, tok.text):
+            self._fail(message, column=tok.column)
         return tok
 
     def at_op(self, *texts):
@@ -178,12 +183,10 @@ class _Evaluator:
             value = Fraction(int(tok.text))
             if self.at_op("/"):
                 self.take()
-                den = self.take()
-                if den.kind != "num":
-                    self._fail("expected an integer denominator", column=den.column)
+                den = self._integer("expected an integer denominator")
                 if int(den.text) == 0:
                     self._fail("zero denominator", column=den.column)
-                value = Fraction(int(tok.text), int(den.text))
+                value /= int(den.text)
             return LaurentPoly.const(value)
         if tok.kind == "q":
             if not self.at_op("^"):
@@ -207,34 +210,22 @@ class _Evaluator:
 
     def _q_exponent2(self):
         """Doubled exponent after 'q^': INT or (-INT), (INT/2), (-INT/2)."""
-        tok = self.peek()
-        if tok is None:
-            self._fail("unexpected end of input")
+        tok = self.take()
         if tok.kind == "num":
-            self.take()
             return 2 * int(tok.text)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.kind != "op" or tok.text != "(":
+            self._fail(f"expected an exponent, found {tok.text!r}", column=tok.column)
+        sign = 1
+        if self.at_op("-"):
             self.take()
-            sign = 1
-            if self.at_op("-"):
-                self.take()
-                sign = -1
-            num = self.take()
-            if num.kind != "num":
-                self._fail("expected an integer exponent", column=num.column)
-            e2 = 2 * int(num.text)
-            if self.at_op("/"):
-                self.take()
-                den = self.take()
-                if den.kind != "num" or den.text != "2":
-                    self._fail(
-                        "only half-integer exponents are supported",
-                        column=den.column,
-                    )
-                e2 //= 2
-            self.expect_op(")", context_col=tok.column)
-            return sign * e2
-        self._fail(f"expected an exponent, found {tok.text!r}", column=tok.column)
+            sign = -1
+        e2 = 2 * int(self._integer("expected an integer exponent").text)
+        if self.at_op("/"):
+            self.take()
+            self._integer("only half-integer exponents are supported", only="2")
+            e2 //= 2
+        self.expect_op(")", context_col=tok.column)
+        return sign * e2
 
 
 def evaluate_expression(src, n, variant=PLUS):

@@ -60,8 +60,7 @@ class ParamsOmega:
     c: dict
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 3:
-            raise RankMismatch(f"rank must be an integer >= 3, got {self.n!r}")
+        slots = set(variable_slots(self.n))  # refuses a bad rank first
         if not isinstance(self.root, RootOfUnity):
             raise TypeError("root must be a RootOfUnity")
         object.__setattr__(
@@ -72,7 +71,6 @@ class ParamsOmega:
             raise ValueError(
                 f"m_top needs {self.n // 2} entries for n={self.n}, got {len(self.m_top)}"
             )
-        slots = set(variable_slots(self.n))
         for name, table in (("h", self.h), ("c", self.c)):
             keys = set(table)
             if keys != slots:

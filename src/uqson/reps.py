@@ -15,7 +15,7 @@ multiplies _FlatSparse matrices, which are numpy code, block by block over
 the stored rows, so its working memory follows _RESIDUAL_BLOCK_TERMS and not
 the dimension. The commutant certificate diagonalizes a generic element and
 checks its eigenbasis graph after the fact; an input it declines is reported
-uncertified, at any dimension.
+uncertified, and a dimension above _COMMUTANT_MAX_DIM is refused.
 """
 
 from __future__ import annotations
@@ -554,11 +554,9 @@ def _generic_element(dense):
 
 
 def _eigenbasis_graph(dense):
-    """Spectral attempt on the generic element A of _generic_element:
-    (gap, cond, commute_margin, edge_margin, components). components is None
-    when the gap or the conditioning already rules the eigenbasis out; the
-    margins are then nan.
-    """
+    """The CommutantCertificate of the dense operators, from the eigenbasis of
+    their generic element A (see commutant_certificate). If eig fails, all four
+    margins are nan; if the gap or cond(V) rules V out, the two graph ones are."""
     import numpy as np
 
     nan = float("nan")
@@ -567,14 +565,14 @@ def _eigenbasis_graph(dense):
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError:
-        return nan, nan, nan, nan, None
+        return CommutantCertificate(None, nan, nan, nan, nan)
     spread = np.abs(w[:, None] - w[None, :])
     np.fill_diagonal(spread, np.inf)
     scale = float(np.linalg.norm(a))
     gap = float(spread.min()) / scale if scale else 0.0
     cond = float(np.linalg.cond(v))
     if not (gap >= _MIN_GAP and cond <= _MAX_COND):
-        return gap, cond, nan, nan, None
+        return CommutantCertificate(None, gap, cond, nan, nan)
     conj = np.linalg.solve(v, np.hstack([t @ v for t in dense])).reshape(d, m, d)
     weight = np.abs(conj).sum(axis=1)
     weight /= weight.max()  # A != 0 here, so some T_i is nonzero
@@ -592,7 +590,8 @@ def _eigenbasis_graph(dense):
             worst = max(worst, *(float(np.abs(p @ t - t @ p).max()) for t in dense))
         worst /= max(float(np.abs(t).max()) for t in dense)
     commute_margin = beta / worst if worst else float("inf")
-    return gap, cond, commute_margin, edge_margin, components
+    components = components if min(commute_margin, edge_margin) >= 1 else None
+    return CommutantCertificate(components, gap, cond, commute_margin, edge_margin)
 
 
 def commutant_certificate(ops):
@@ -648,13 +647,7 @@ def commutant_certificate(ops):
         raise DimensionMismatch(f"commutant certificate: dim = {dim} is above its limit "
                                 f"{_COMMUTANT_MAX_DIM} (its dense matrices need about "
                                 "433 B * dim^2)")
-    gap, cond, commute_margin, edge_margin, components = _eigenbasis_graph(
-        [op.to_dense() for op in ops]
-    )
-    certified = components is not None and min(commute_margin, edge_margin) >= 1
-    return CommutantCertificate(
-        components if certified else None, gap, cond, commute_margin, edge_margin
-    )
+    return _eigenbasis_graph([op.to_dense() for op in ops])
 
 
 def commutant_dimension(ops):

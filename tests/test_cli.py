@@ -293,7 +293,7 @@ def test_exit_4_on_a_commutant_past_its_dimension_limit(tmp_path, verb):
     assert proc.returncode == 4
     assert proc.stderr == (f"error: commutant certificate: dim = {dim} is above its limit "
                            f"{dim - 1} (its dense matrices need about 433 B * dim^2)\n")
-    assert "PASS" not in proc.stdout and "FAIL" not in proc.stdout
+    assert proc.stdout == ""  # rep-verify refuses before it takes any residual
     assert not report.exists()
 
 
@@ -729,6 +729,55 @@ def test_uncertified_commutant_fails_at_once_without_scipy(tmp_path, order):
         assert (proc.returncode, proc.stderr) == (1, "['numpy']\n")
         assert proc.stdout.splitlines()[-2:] == ["commutant-dim: uncertified", verdict]
     assert json.loads(report.read_text())[-1] == {"commutantDim": None}
+
+
+def test_rep_commutant_is_uncertified_when_eig_fails(capsys, monkeypatch, tmp_path):
+    import numpy as np
+    from test_reps import failing_eig
+
+    from uqson import jsonio, reps
+
+    rep = tmp_path / "rep.json"
+    jsonio.dump_rep(reps.build_representation(reps.random_generic_params(3, 3, 0)), rep)
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    assert run(capsys, "rep-commutant", "--rep", str(rep)) == (
+        1, "commutant-dim: uncertified\nrep-commutant: FAIL (irreducible iff 1)\n", "")
+
+
+VERDICT_ARGV = {
+    "relations-verify": ["--n", "3"],
+    "commrel-verify": ["--n", "4", "--variant", "minus"],
+    "assoc-fuzz": ["--n", "3", "--trials", "2", "--seed", "0"],
+    "rep-verify": ["--rep", "{rep}", "--q-order", "3", "--commutant"],
+    "rep-commutant": ["--rep", "{rep}"],
+    "embed-verify": ["--n", "3"],
+    "psi-verify": ["--twoj", "1", "--seed", "0", "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERDICT_ARGV))
+@pytest.mark.parametrize("force", [None, False], ids=["as-checked", "forced-fail"])
+def test_every_checking_verb_ends_in_one_verdict_line(capsys, monkeypatch, tmp_path, verb, force):
+    # one helper writes the last line and picks the exit code; forcing its
+    # ok to False must give FAIL and exit 1 on every verb
+    from uqson import jsonio, reps
+
+    rep = tmp_path / "rep.json"
+    jsonio.dump_rep(reps.build_representation(reps.random_generic_params(3, 3, 0)), rep)
+    calls, verdict = [], cli._verdict
+
+    def spy(ok, head, tail=""):
+        calls.append((ok, head, tail))
+        return verdict(ok if force is None else force, head, tail)
+
+    monkeypatch.setattr(cli, "_verdict", spy)
+    argv = [arg.format(rep=rep) for arg in VERDICT_ARGV[verb]]
+    code, out, err = run(capsys, verb, *argv)
+    [(ok, head, tail)] = calls
+    assert ok and head.startswith(verb) and err == ""  # every input here passes
+    word, want = ("PASS", 0) if force is None else ("FAIL", 1)
+    assert out.splitlines()[-1] == f"{head}: {word}{tail}"
+    assert code == want
 
 
 def console_script_argv():

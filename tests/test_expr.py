@@ -55,10 +55,31 @@ def test_parse_q_power_forms():
 
 def test_syntax_error_columns():
     # an unclosed parenthesis points back at the opener, not at EOF
-    for src, col in [("I43*(", 5), ("I43*I21@", 8), ("", 1), ("(I21", 1), ("3/", 2), ("q^", 2)]:
+    for src, message, col in [
+        ("I43*(", "unexpected end of input", 5),
+        ("I43*I21@", "unexpected character '@'", 8),
+        ("", "empty expression", 1),
+        ("(I21", "unclosed parenthesis", 1),
+        ("3/", "unexpected end of input", 2),
+        ("q^", "unexpected end of input", 2),
+        ("3/q", "expected an integer denominator", 3),
+        ("3/0", "zero denominator", 3),
+        ("I21*)", "unexpected ')'", 5),
+        ("q^)", "expected an exponent, found ')'", 3),
+        ("q^(q)", "expected an integer exponent", 4),
+        ("q^(1/3)", "only half-integer exponents are supported", 6),
+        ("q^(1/02)", "only half-integer exponents are supported", 6),
+        ("q^(2", "unexpected end of input", 3),
+        ("q^(2*", "expected ')', found '*'", 5),
+    ]:
         with pytest.raises(ExpressionSyntaxError) as err:
             evaluate_expression(src, 4)
-        assert err.value.column == col, src
+        assert (str(err.value), err.value.column) == (f"{message} (column {col})", col), src
+
+
+def test_trailing_space_and_a_leading_zero_denominator_parse():
+    assert evaluate_expression("I21 ", 3) == gen(3, 2, 1)
+    assert evaluate_expression("3/04", 3) == scalar(LaurentPoly.const(Fraction(3, 4)))
 
 
 def test_generator_validation():

@@ -229,6 +229,16 @@ def test_params_structural_validation():
     assert base.dimension() == 9
 
 
+@pytest.mark.parametrize("n", [2, 2.0, "3"])
+def test_params_refuse_a_bad_rank_before_anything_else(n):
+    # the m_top of rank 4 has the wrong length for each n, and "3" // 2 would
+    # raise TypeError: the rank check must run first
+    base = random_generic_params(4, 3, 1)
+    with pytest.raises(RankMismatch) as err:
+        ParamsOmega(n=n, root=base.root, m_top=base.m_top, h=base.h, c=base.c)
+    assert str(err.value) == f"rank must be an integer >= 3, got {n!r}"
+
+
 def test_assert_generic_flags_each_condition():
     base = random_generic_params(5, 3, 2)
 
@@ -639,6 +649,24 @@ def test_commutant_rejects_mixed_dimensions():
         commutant_dimension(a + b)
     with pytest.raises(DimensionMismatch):
         relation_residual(a + b, RootOfUnity(3))
+
+
+def test_an_empty_operator_list_is_refused():
+    with pytest.raises(DimensionMismatch, match="^need at least one operator$"):
+        relation_residual([], RootOfUnity(3))
+    with pytest.raises(DimensionMismatch, match="^need at least one operator$"):
+        commutant_certificate([])
+
+
+def failing_eig(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_certificate_is_uncertified_with_nan_margins_when_eig_fails(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    cert = commutant_certificate(build_representation(random_generic_params(3, 3, 0)))
+    assert cert.dimension is None
+    assert np.isnan([cert.gap, cert.cond, cert.commute_margin, cert.edge_margin]).all()
 
 
 def test_commutant_certificate_refuses_a_dimension_above_its_limit(monkeypatch):
