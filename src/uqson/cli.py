@@ -25,7 +25,7 @@ import sys
 
 from .coeffring import RootOfUnity
 from .errors import DegenerateInput, ExpressionSyntaxError, StructuralMisuse
-from .pbw import MINUS, PLUS  # loads the rule table only
+from .pbw import MINUS, PLUS, check_rank  # loads the rule table only
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -113,6 +113,7 @@ def cmd_rep_verify(args):
     root = RootOfUnity(args.q_order, args.q_t)
     dim = ops[0].dim
     tol = args.tol if args.tol is not None else _default_rep_tol(dim)
+    check_rank(len(ops) + 1)  # the residual's rank, refused before any work
     cdim = reps.commutant_dimension(ops) if args.commutant else None  # refuses a large d first
     report = reps.relation_residual(ops, root)
     for entry in report:

@@ -19,17 +19,20 @@ with a q**-1-weighted swap the I[b,d]*I[a,c] overlap ambiguities fail to
 resolve and products stop being associative, so confluence forces the
 undeformed swap here.
 
-The minus-variant table is the same with q replaced by q**-1.  Coefficients
-are {doubled exponent: int} dicts (1 encodes q**(1/2)); replacement words are
-bytes of generator codes and are already sorted, so the crossing corrections
-never need a second pass through the crossing rule.
+The minus-variant table is the same with q replaced by q**-1.  Each entry
+is one signed q-power times a word, (word, shift, sign) for
+sign * q**(shift/2) * word, with shift an int (1 encodes q**(1/2)) and sign
+the int +1 or -1; the crossing correction's q - q**-1 is two entries per
+word.  Replacement words are bytes of generator codes and are already
+sorted, so the crossing corrections never need a second pass through the
+crossing rule.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from ..errors import IndexOutOfRange, RankMismatch
+from ..errors import IndexOutOfRange, RankMismatch, VariantMismatch
 
 PLUS = "plus"
 MINUS = "minus"
@@ -45,6 +48,12 @@ def check_rank(n):
     if n > MAX_RANK:
         raise RankMismatch(f"rank {n} exceeds the supported maximum {MAX_RANK}")
     return n
+
+
+def check_variant(variant):
+    if variant not in VARIANTS:
+        raise VariantMismatch(f"variant must be one of {VARIANTS}, got {variant!r}")
+    return variant
 
 
 @lru_cache(maxsize=None)
@@ -86,8 +95,8 @@ def classify_pair(x_pair, y_pair):
     raise AssertionError(f"unclassified pair {x_pair}, {y_pair}")
 
 
-def _rule_entries(n, x_pair, y_pair, sign):
-    """Rewrite of X*Y as ((word bytes, coeff dict), ...); sign=+1 plus, -1 minus."""
+def _rule_entries(n, x_pair, y_pair, s):
+    """Rewrite of X*Y as ((word bytes, shift, sign), ...); s=+1 plus, -1 minus."""
     code = code_of(n)
     a, b = x_pair
     c, d = y_pair
@@ -96,38 +105,29 @@ def _rule_entries(n, x_pair, y_pair, sign):
     swap = bytes((y, x))
     kind = classify_pair(x_pair, y_pair)
     if kind == "shared-middle":
-        z = code[(a, d)]
-        return ((swap, {2 * sign: 1}), (bytes((z,)), {sign: -1}))
+        return ((swap, 2 * s, 1), (bytes((code[(a, d)],)), s, -1))
     if kind == "shared-row":
-        z = code[(b, d)]
-        return ((swap, {-2 * sign: 1}), (bytes((z,)), {-sign: 1}))
+        return ((swap, -2 * s, 1), (bytes((code[(b, d)],)), -s, 1))
     if kind == "shared-column":
-        z = code[(a, c)]
-        return ((swap, {-2 * sign: 1}), (bytes((z,)), {-sign: 1}))
+        return ((swap, -2 * s, 1), (bytes((code[(a, c)],)), -s, 1))
     if kind in ("disjoint", "nested"):
-        return ((swap, {0: 1}),)
-    # crossing: plain swap; both correction words are in PBW order as written
+        return ((swap, 0, 1),)
+    # crossing: plain swap; both correction words are in PBW order as written,
+    # each times q - q**-1 (mirrored for minus), one entry per q-power
     w1 = bytes((code[(b, d)], code[(a, c)]))
     w2 = bytes((code[(c, b)], code[(a, d)]))
-    scale = {2 * sign: 1, -2 * sign: -1}  # q - q**-1, mirrored for minus
-    return (
-        (swap, {0: 1}),
-        (w1, dict(scale)),
-        (w2, {e: -c_ for e, c_ in scale.items()}),
-    )
+    return ((swap, 0, 1), (w1, 2 * s, 1), (w1, -2 * s, -1), (w2, 2 * s, -1), (w2, -2 * s, 1))
 
 
 @lru_cache(maxsize=None)
 def rule_table(n, variant=PLUS):
     """Rewrite table {x<<8 | y: entries} for every out-of-order pair of codes."""
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    sign = 1 if variant == PLUS else -1
+    s = 1 if check_variant(variant) == PLUS else -1
     pairs = gen_pairs(n)
     table = {}
     for xi, x_pair in enumerate(pairs):
         for yi, y_pair in enumerate(pairs):
             if xi <= yi:
                 continue
-            table[(xi << 8) | yi] = _rule_entries(n, x_pair, y_pair, sign)
+            table[(xi << 8) | yi] = _rule_entries(n, x_pair, y_pair, s)
     return table

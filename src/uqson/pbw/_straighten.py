@@ -36,8 +36,8 @@ def straighten(pending, rules):
     """Normal form {word: coeff} of the sum of coeff*word over `pending`.
 
     pending is a {word: coeff} dict, which the kernel consumes; rules is
-    `rule_table(n, variant)`. A rule coefficient {shift: +-1} (int) shifts
-    exponents; the others, +-(q - q**-1), go through `cmul`.
+    `rule_table(n, variant)`. Each rule entry is one signed q-power, so it
+    shifts the coefficient's exponents and negates its values for sign -1.
     """
     out = {}
     queues = [[]]
@@ -63,18 +63,12 @@ def straighten(pending, rules):
                 continue
             pre = w[:i]
             post = w[i + 2 :]
-            for repl, rc in rules[(w[i] << 8) | w[i + 1]]:
+            for repl, shift, sign in rules[(w[i] << 8) | w[i + 1]]:
                 nw = pre + repl + post
-                if len(rc) == 1:
-                    ((shift, sign),) = rc.items()
-                else:
-                    sign = 0
-                if sign == 1 and type(sign) is int:
+                if sign > 0:
                     nc = c if shift == 0 else {e + shift: v for e, v in c.items()}
-                elif sign == -1 and type(sign) is int:
-                    nc = {e + shift: -v for e, v in c.items()}
                 else:
-                    nc = cmul(c, rc)
+                    nc = {e + shift: -v for e, v in c.items()}
                 cur = pending.get(nw)
                 if cur is None:
                     pending[nw] = nc

@@ -13,13 +13,7 @@ from fractions import Fraction
 from ..coeffring import LaurentPoly, _as_rational, cmul
 from ..errors import IndexOutOfRange, RankMismatch, VariantMismatch
 from . import _straighten
-from ._rules import PLUS, VARIANTS, check_rank, gen_code, gen_pairs, rule_table
-
-
-def _check_variant(variant):
-    if variant not in VARIANTS:
-        raise VariantMismatch(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return variant
+from ._rules import PLUS, check_rank, check_variant, gen_code, gen_pairs, rule_table
 
 
 def _coeff_raw(value):
@@ -73,7 +67,7 @@ class AlgebraElement:
 
     def __init__(self, n, variant=PLUS, *, _terms=None):
         self.n = check_rank(n)
-        self.variant = _check_variant(variant)
+        self.variant = check_variant(variant)
         self._terms = {} if _terms is None else _terms
 
     # -- constructors --------------------------------------------------------
@@ -104,7 +98,7 @@ class AlgebraElement:
     def from_word(cls, n, pairs, variant=PLUS):
         """Normal form of a product of generators given as (k, l) pairs."""
         check_rank(n)
-        _check_variant(variant)
+        check_variant(variant)
         word = bytes(gen_code(n, k, l) for k, l in pairs)
         out = _straighten.straighten({word: {0: 1}}, rule_table(n, variant))
         return cls(n, variant, _terms=out)
@@ -262,7 +256,7 @@ def bracket_generator(n, k, l, variant=PLUS):
     generator, which the tests use as a self-consistency check.
     """
     check_rank(n)
-    _check_variant(variant)
+    check_variant(variant)
     if not (1 <= l < k <= n):
         raise IndexOutOfRange(f"generator I[{k},{l}] is outside rank {n}")
     if k == l + 1:

@@ -492,9 +492,9 @@ _EDGE_THRESHOLD = 1e-9
 _UNIT_ROUNDOFF = 2.0**-53
 
 # Largest dimension the certificate takes. Its dense d x d matrices peak at
-# about 433 B * d^2 (+152 to +161 MB of peak RSS in process at (5,5),
-# d = 625, seed 0), so this limit, (5,7) = 2401, needs about 2.5 GB, and
-# 4096 would need 7.3 GB.
+# about 190 B * d^2 (+67 MiB of peak RSS in process at (5,5), d = 625, and
+# +304 MiB at (5,6), d = 1296, seed 0), so this limit, (5,7) = 2401, needs
+# about 1.1 GB, and 4096 would need 3.2 GB.
 _COMMUTANT_MAX_DIM = 2401
 
 
@@ -560,7 +560,7 @@ def _eigenbasis_graph(dense):
     import numpy as np
 
     nan = float("nan")
-    d, m = dense[0].shape[0], len(dense)
+    d = dense[0].shape[0]
     a = _generic_element(dense)
     try:
         w, v = np.linalg.eig(a)
@@ -573,8 +573,8 @@ def _eigenbasis_graph(dense):
     cond = float(np.linalg.cond(v))
     if not (gap >= _MIN_GAP and cond <= _MAX_COND):
         return CommutantCertificate(None, gap, cond, nan, nan)
-    conj = np.linalg.solve(v, np.hstack([t @ v for t in dense])).reshape(d, m, d)
-    weight = np.abs(conj).sum(axis=1)
+    v_inv = np.linalg.inv(v)
+    weight = sum(np.abs(v_inv @ (t @ v)) for t in dense)
     weight /= weight.max()  # A != 0 here, so some T_i is nonzero
     edges = (weight > _EDGE_THRESHOLD) & ~np.eye(d, dtype=bool)
     beta = cond**2 * d * _UNIT_ROUNDOFF
@@ -583,7 +583,6 @@ def _eigenbasis_graph(dense):
     components = int(labels.max()) + 1
     worst = 0.0  # one component: P = I commutes exactly
     if components > 1:
-        v_inv = np.linalg.inv(v)
         for c in range(components):
             part = labels == c
             p = v[:, part] @ v_inv[part, :]
@@ -646,7 +645,7 @@ def commutant_certificate(ops):
     if dim > _COMMUTANT_MAX_DIM:
         raise DimensionMismatch(f"commutant certificate: dim = {dim} is above its limit "
                                 f"{_COMMUTANT_MAX_DIM} (its dense matrices need about "
-                                "433 B * dim^2)")
+                                "190 B * dim^2)")
     return _eigenbasis_graph([op.to_dense() for op in ops])
 
 

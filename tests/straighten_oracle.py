@@ -5,7 +5,9 @@ word is straightened on its own, always at the first inversion at or after
 a hint, and normal words are summed into the output as they appear. It is
 slow but short, so the differential test in `test_kernel_oracle.py` checks
 `uqson.pbw._straighten` against it. Rule tables come from
-`uqson.pbw._rules.rule_table`.
+`uqson.pbw._rules.rule_table`; each entry (word, shift, sign) is multiplied
+in as the coefficient {shift: sign} through `cmul`, not by the kernel's
+exponent shift, so the oracle stays an independent reference.
 """
 
 from uqson.coeffring import cadd, cmul
@@ -41,9 +43,9 @@ def straighten_into(out, word, coeff, hint, rules):
         pre = w[:i]
         post = w[i + 2 :]
         nh = i - 1 if i > 0 else 0
-        for repl, rc in rules[(w[i] << 8) | w[i + 1]]:
+        for repl, shift, sign in rules[(w[i] << 8) | w[i + 1]]:
             nw = pre + repl + post
-            nc = cmul(c, rc)
+            nc = cmul(c, {shift: sign})
             ent = pending.get(nw)
             if ent is None:
                 pending[nw] = (nc, nh)

@@ -277,7 +277,7 @@ CAPPED_CLI = (
 
 @pytest.mark.parametrize("verb", ["rep-commutant", "rep-verify"])
 def test_exit_4_on_a_commutant_past_its_dimension_limit(tmp_path, verb):
-    # the certificate's dense matrices need about 433 B * d^2; at d = 4096
+    # the certificate's dense matrices need about 190 B * d^2; at d = 4096
     # it used to run out of memory with a traceback and exit 1
     from uqson import reps
 
@@ -292,9 +292,25 @@ def test_exit_4_on_a_commutant_past_its_dimension_limit(tmp_path, verb):
     proc = run_process([sys.executable, "-c", CAPPED_CLI, *argv], timeout=20)
     assert proc.returncode == 4
     assert proc.stderr == (f"error: commutant certificate: dim = {dim} is above its limit "
-                           f"{dim - 1} (its dense matrices need about 433 B * dim^2)\n")
+                           f"{dim - 1} (its dense matrices need about 190 B * dim^2)\n")
     assert proc.stdout == ""  # rep-verify refuses before it takes any residual
     assert not report.exists()
+
+
+@pytest.mark.parametrize("dim", [9, 2402])
+def test_rep_verify_refuses_one_generator_before_the_commutant(capsys, monkeypatch, tmp_path,
+                                                               dim):
+    from uqson import reps
+
+    def certificate(ops):
+        raise AssertionError("the certificate ran on a rank-2 file")
+
+    monkeypatch.setattr(reps, "commutant_certificate", certificate)
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"dim": dim, "generators": [
+        {"name": "I21", "entries": [[0, 1, {"re": 1.0, "im": 0.0}]]}]}))
+    assert run(capsys, "rep-verify", "--rep", str(rep), "--q-order", "3", "--commutant") == (
+        4, "", "error: rank must be an integer >= 3, got 2\n")
 
 
 def test_exit_5_on_missing_or_malformed_files(capsys, tmp_path):

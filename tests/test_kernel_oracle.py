@@ -110,16 +110,3 @@ def test_only_the_int_one_is_reused_as_a_unit():
     for unit in ({0: 1}, {0: Fraction(1)}):
         tb = {bytes([0]): unit, b"": unit}
         assert dump(mul_terms(ta, tb, rules)) == dump(oracle.mul_terms(ta, tb, rules))
-
-
-def test_fraction_rule_coefficients_skip_the_monomial_fast_path():
-    # the exponent-shift fast path keeps the term's type; a rule coefficient
-    # {s: Fraction(1)} must give a Fraction, as cmul does
-    rules = {
-        key: tuple((w, {e: Fraction(c) for e, c in rc.items()}) for w, rc in entries)
-        for key, entries in rule_table(4, PLUS).items()
-    }
-    seeds = [(bytes([5, 3, 0]), {0: 1, 1: -2})]
-    got = straighten(merged(seeds), rules)
-    assert dump(got) == dump(oracle_sum(seeds, rules))
-    assert any(type(c) is Fraction for cd in got.values() for c in cd.values())

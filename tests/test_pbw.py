@@ -66,20 +66,57 @@ def test_rule_table_covers_all_inversions_and_replacements_are_sorted():
             table = rule_table(n, variant)
             assert len(table) == len(pairs) * (len(pairs) - 1) // 2
             for entries in table.values():
-                for word, coeff in entries:
-                    assert bytes(sorted(word)) == word
-                    assert coeff  # no zero rows in the table
+                for word, shift, sign in entries:
+                    assert type(word) is bytes and bytes(sorted(word)) == word
+                    assert type(shift) is int
+                    assert type(sign) is int and sign in (1, -1)
 
 
 def test_minus_table_is_q_inverse_mirror():
     plus = rule_table(4, PLUS)
     minus = rule_table(4, MINUS)
     for key, entries in plus.items():
-        mirrored = minus[key]
-        assert len(entries) == len(mirrored)
-        for (w1, c1), (w2, c2) in zip(entries, mirrored):
-            assert w1 == w2
-            assert {-e: c for e, c in c1.items()} == c2
+        assert minus[key] == tuple((w, -shift, sign) for w, shift, sign in entries)
+
+
+def test_rule_table_entries_sum_to_the_five_patterns():
+    # each word's entries, summed into {doubled exponent: sign}, against the
+    # five index patterns written out here from the paper's relations:
+    #   b == c: q*Y*X - q^(1/2)*I[a,d]
+    #   a == c or b == d: q^-1*Y*X + q^(-1/2)*(I[b,d] or I[a,c])
+    #   a > c > b > d: Y*X + (q - q^-1)*(I[b,d]*I[a,c] - I[c,b]*I[a,d])
+    #   otherwise: Y*X
+    for n in range(3, 7):
+        pairs = gen_pairs(n)
+        code = {pair: i for i, pair in enumerate(pairs)}
+        for variant, s in ((PLUS, 1), (MINUS, -1)):
+            table = rule_table(n, variant)
+            for xi, (a, b) in enumerate(pairs):
+                for yi, (c, d) in enumerate(pairs[:xi]):
+                    swap = bytes((yi, xi))
+                    if b == c:
+                        want = {swap: {2: 1}, bytes((code[a, d],)): {1: -1}}
+                    elif a == c:
+                        want = {swap: {-2: 1}, bytes((code[b, d],)): {-1: 1}}
+                    elif b == d:
+                        want = {swap: {-2: 1}, bytes((code[a, c],)): {-1: 1}}
+                    elif a > c > b > d:
+                        want = {swap: {0: 1},
+                                bytes((code[b, d], code[a, c])): {2: 1, -2: -1},
+                                bytes((code[c, b], code[a, d])): {2: -1, -2: 1}}
+                    else:
+                        want = {swap: {0: 1}}
+                    want = {w: {s * e: v for e, v in c.items()} for w, c in want.items()}
+                    got = {}
+                    for word, shift, sign in table[(xi << 8) | yi]:
+                        coeff = got.setdefault(word, {})
+                        coeff[shift] = coeff.get(shift, 0) + sign
+                    assert got == want, (variant, pairs[xi], pairs[yi])
+
+
+def test_rule_table_refuses_an_unknown_variant():
+    with pytest.raises(VariantMismatch, match="variant must be one of"):
+        rule_table(3, "bogus")
 
 
 # -- single-step reduction goldens -------------------------------------------
