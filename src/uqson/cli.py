@@ -11,10 +11,15 @@ to codes with one clause per family of uqson.errors: ExpressionSyntaxError
 OSError 5. Each checking verb ends in one verdict line, `...: PASS` or
 `...: FAIL`, which _verdict writes while it picks exit 0 or 1.
 
-Each verb imports the modules it runs. Only rep-verify, rep-commutant and
-psi-verify, which compute in floating point, load numpy, whose import costs
-more than the rest of the package's; params-sample and rep-build load
-neither numpy nor the PBW kernel.
+Each verb imports only the modules it runs, and no module of the package
+imports dataclasses. The exact verbs load the coefficient ring `coeffring`
+with `fractions`, and the PBW code they check. The numeric verbs
+(params-sample, rep-build, rep-verify, rep-commutant, psi-verify) take
+their q-powers from `qnumeric` and their relation table from
+`pbw._relations`, so they load neither the exact ring nor the PBW kernel;
+rep-verify, rep-commutant and psi-verify, which compute with matrices, load
+numpy, whose import costs more than the rest of the package's.
+embed-verify and psi-verify load `jsonio` only to write --out.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ import argparse
 import random
 import sys
 
-from .coeffring import RootOfUnity
 from .errors import DegenerateInput, ExpressionSyntaxError, StructuralMisuse
 from .pbw import MINUS, PLUS, check_rank  # loads the rule table only
+from .qnumeric import RootOfUnity
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -46,6 +51,14 @@ def _exact_verdict(args, verb, noun, report):
         print(f"{entry['relation']}: exact-zero: {'true' if entry['exact_zero'] else 'false'}")
     return _verdict(all(entry["exact_zero"] for entry in report),
                     f"{verb} n={args.n} variant={args.variant}", f" ({len(report)} {noun})")
+
+
+def _dump_report(report, path):
+    """Write a report to --out, loading jsonio only when there is one."""
+    if path:
+        from . import jsonio
+
+        jsonio.dump_json(report, path)
 
 
 def _default_rep_tol(dim):
@@ -124,8 +137,7 @@ def cmd_rep_verify(args):
         artifacts.append({"commutantDim": cdim})
         print(f"commutant-dim: {'uncertified' if cdim is None else cdim}")
         ok = ok and cdim == 1
-    if args.out:
-        jsonio.dump_json(artifacts, args.out)
+    _dump_report(artifacts, args.out)
     return _verdict(ok, f"rep-verify dim={dim} tol={tol:.3e}")
 
 
@@ -139,21 +151,18 @@ def cmd_rep_commutant(args):
 
 
 def cmd_embed_verify(args):
-    from . import djembed, jsonio
-    from .pbw.verify import all_pass
+    from . import djembed
 
     report = djembed.verify_embedding(args.n)
     for entry in report:
         print(f"{entry['check']}: {'pass' if entry['pass'] else 'FAIL'}")
-    ok = all_pass(report)
-    if args.out:
-        jsonio.dump_json(report, args.out)
+    ok = all(entry["pass"] for entry in report)
+    _dump_report(report, args.out)
     return _verdict(ok, f"embed-verify n={args.n}", f" ({len(report)} checks)")
 
 
 def cmd_psi_verify(args):
-    from . import djembed, jsonio
-    from .pbw.verify import all_pass
+    from . import djembed
 
     rng = random.Random(args.seed)
     report = []
@@ -167,9 +176,8 @@ def cmd_psi_verify(args):
             f"{entry['check']}: residual: {entry['residual']:.3e} "
             f"{'pass' if entry['pass'] else 'FAIL'}"
         )
-    ok = all_pass(report)
-    if args.out:
-        jsonio.dump_json(report, args.out)
+    ok = all(entry["pass"] for entry in report)
+    _dump_report(report, args.out)
     return _verdict(ok, f"psi-verify twoj={args.twoj} samples={args.samples} "
                     f"seed={args.seed} tol={args.tol:.1e}")
 

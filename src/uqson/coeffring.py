@@ -6,18 +6,24 @@ monomial q**Fraction(3, 2) sits at key 3 and q**2 at key 4; coefficients are
 ints or fractions.Fraction and all symbolic arithmetic is exact.
 
 Numeric side: evaluation of Laurent polynomials at arbitrary nonzero complex
-points, and q-powers / q-brackets at a primitive root of unity along the
-fixed branch q**x := exp(x * 2*pi*i * t / k).
+points. The q-powers and q-brackets at a primitive root of unity, along the
+fixed branch q**x := exp(x * 2*pi*i * t / k), live in `qnumeric`, so the
+numeric verbs need not load this module or `fractions`; they are
+re-exported here as the same objects.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateDenominator, ZeroBase
+from .errors import ZeroBase
+from .qnumeric import (  # the numeric names are re-exported, the same objects
+    RootOfUnity,
+    _require_finite,
+    qbracket_numeric,
+    qpow_complex,
+)
 
 HALF = Fraction(1, 2)
 
@@ -40,13 +46,6 @@ def _as_exp2(exponent):
     if e2.denominator != 1:
         raise ValueError(f"exponent {exponent!r} is not a half-integer")
     return int(e2)
-
-
-def _require_finite(z):
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite complex value {z!r}")
-    return z
 
 
 # Raw coefficient arithmetic on {doubled exponent: rational} dicts, shared by
@@ -269,10 +268,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset((e2, Fraction(c)) for e2, c in self._terms.items()))
 
-    def invert_q(self):
-        """Substitute q -> q**-1."""
-        return LaurentPoly(_raw={-e2: c for e2, c in self._terms.items()})
-
     def evaluate(self, q):
         """Evaluate at a nonzero complex point.
 
@@ -317,53 +312,3 @@ def qnumber(a):
     if n < 0:
         sign, n = -1, -n
     return LaurentPoly(_raw={2 * (n - 1 - 2 * i): sign for i in range(n)})
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """A primitive root of unity q = exp(2*pi*i * t / order), gcd(t, order) = 1.
-
-    The pair fixes not just the value of q but the branch of q**x for all
-    complex x: q**x := exp(x * 2*pi*i * t / order).
-    """
-
-    order: int
-    t: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 2:
-            raise ValueError(f"order must be an integer >= 2, got {self.order!r}")
-        if not isinstance(self.t, int) or self.t < 1:
-            raise ValueError(f"t must be a positive integer, got {self.t!r}")
-        if math.gcd(self.t, self.order) != 1:
-            raise ValueError(f"t = {self.t} is not coprime to order = {self.order}")
-
-    @property
-    def log(self):
-        """The fixed logarithm of q: 2*pi*i * t / order."""
-        return 2j * math.pi * self.t / self.order
-
-    def value(self):
-        return cmath.exp(self.log)
-
-
-def qpow_complex(x, root):
-    """q**x along the fixed branch of the given root of unity.
-
-    Satisfies the exponential law q**(x+y) = q**x * q**y exactly in exact
-    arithmetic and to rounding error in floats, and q**order = 1.
-    """
-    return cmath.exp(_require_finite(x) * root.log)
-
-
-def qbracket_numeric(x, root):
-    """[x] = (q**x - q**-x) / (q - q**-1) at a root of unity, complex x allowed.
-
-    The order-2 root has q = -1 where the denominator vanishes identically,
-    so every bracket is undefined there.
-    """
-    if root.order == 2:
-        raise DegenerateDenominator("q - q**-1 = 0 at the order-2 root q = -1")
-    x = _require_finite(x)
-    denom = qpow_complex(1, root) - qpow_complex(-1, root)
-    return (qpow_complex(x, root) - qpow_complex(-x, root)) / denom

@@ -6,39 +6,37 @@ representation of the standard quantum algebra, with exact Laurent
 coefficients in sparse `ExactMatrix` cells and no numpy. The rank-3
 composition map (X from the Cartan part, Y from E - F) is verified
 numerically on the standard weight-basis irreps, in numpy.
+
+Each half imports what it computes with in the functions that use it: the
+exact ring, `fractions` and `pbw.classical` for the embedding, numpy for the
+composition. So psi-verify loads no exact code and embed-verify no numpy.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from operator import matmul
 
-from .coeffring import LaurentPoly, qnumber
 from .errors import DegenerateQ, IndexOutOfRange, SingularDenominator
+from .pbw._relations import defining_relation_residuals
 from .pbw._rules import check_rank
-from .pbw.classical import ExactMatrix, classical_generator
-from .pbw.verify import defining_relation_residuals
 
 
 # -- vector representation of the standard quantum algebra --------------------
 
 
-@dataclass
-class SlnRepMatrices:
+class SlnRepMatrices(namedtuple("SlnRepMatrices", "n E F K Kinv")):
     """Vector-representation matrices as ExactMatrix cells holding exact
     LaurentPoly entries."""
 
-    n: int
-    E: list
-    F: list
-    K: list
-    Kinv: list
+    __slots__ = ()
 
 
 def _self_check_sln(rep):
     """Constructor check of the quantum-algebra relations, denominator-free."""
+    from .coeffring import LaurentPoly, qnumber
+
     n = rep.n
     qq = qnumber(2)
     qdiff = LaurentPoly.q(1) - LaurentPoly.q(-1)
@@ -73,6 +71,9 @@ def _self_check_sln(rep):
 
 def vector_rep_sln(n):
     """Standard vector representation; E_i, F_i elementary, K_i diagonal."""
+    from .coeffring import LaurentPoly
+    from .pbw.classical import ExactMatrix
+
     if n < 2:
         raise IndexOutOfRange(f"need n >= 2, got {n}")
     one = LaurentPoly.one()
@@ -96,6 +97,8 @@ def vector_rep_sln(n):
 
 def tilde_I(j, rep):
     """The element F_{j-1} - q * q^{-H_{j-1}} * E_{j-1} in the representation."""
+    from .coeffring import LaurentPoly
+
     if not (2 <= j <= rep.n):
         raise IndexOutOfRange(f"tilde index {j} outside 2..{rep.n}")
     return rep.F[j - 2] - LaurentPoly.q(1) * (rep.Kinv[j - 2] @ rep.E[j - 2])
@@ -103,6 +106,8 @@ def tilde_I(j, rep):
 
 def poly_at_one(poly):
     """Exact rational value of a Laurent polynomial at q = 1."""
+    from fractions import Fraction
+
     return sum((Fraction(c) for _, c in poly.items2()), Fraction(0))
 
 
@@ -111,6 +116,9 @@ def verify_embedding(n):
     plus the q=1 specialization against the classical antisymmetric
     generators. Returns report entries with mode 'symbolic'. The rank is
     checked first, so a rank above MAX_RANK builds nothing."""
+    from .coeffring import qnumber
+    from .pbw.classical import ExactMatrix, classical_generator
+
     check_rank(n)
     rep = vector_rep_sln(n)
     tildes = [tilde_I(j, rep) for j in range(2, n + 1)]
@@ -130,16 +138,10 @@ def verify_embedding(n):
 # -- weight-basis irreps and the rank-3 composition ---------------------------
 
 
-@dataclass
-class Sl2IrrepMatrices:
+class Sl2IrrepMatrices(namedtuple("Sl2IrrepMatrices", "twoJ q E F qH qHinv")):
     """Weight-basis irrep matrices as complex128 numpy arrays."""
 
-    twoJ: int
-    q: complex
-    E: object
-    F: object
-    qH: object
-    qHinv: object
+    __slots__ = ()
 
 
 def sl2_irrep(twoJ, q):

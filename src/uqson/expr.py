@@ -25,7 +25,7 @@ recursion limit allows is an ExpressionSyntaxError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .coeffring import LaurentPoly
@@ -39,11 +39,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    column: int
+Token = namedtuple("Token", "kind text column")
 
 
 def tokenize(src):

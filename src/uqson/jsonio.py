@@ -13,8 +13,9 @@ import json
 import sys
 from itertools import pairwise
 
-from .coeffring import RootOfUnity
-from .params import ParamsOmega
+from .qnumeric import RootOfUnity
+
+_FLOAT_MAX = sys.float_info.max  # a JSON number past it parses as inf
 
 
 def complex_to_json(z):
@@ -27,8 +28,7 @@ def complex_from_json(obj):
         raise ValueError(f"expected {{re, im}} object, got {obj!r}")
     # float() would read true and "0.5", and json.load admits NaN, Infinity
     # and 1e400 (inf): only finite JSON numbers pass
-    if not all(type(x) in (int, float) and abs(x) <= sys.float_info.max
-               for x in obj.values()):
+    if not all(type(x) in (int, float) and abs(x) <= _FLOAT_MAX for x in obj.values()):
         raise TypeError(f"re and im must be finite numbers, got {obj!r}")
     return complex(float(obj["re"]), float(obj["im"]))
 
@@ -60,6 +60,8 @@ def _integer(value, what):
 
 
 def params_from_json(data):
+    from .params import ParamsOmega  # writing a parameter file never needs the class
+
     def slots(table):
         return {
             (_integer(e["i"], "i"), _integer(e["j"], "j")): complex_from_json(e["value"])
@@ -79,11 +81,10 @@ def params_from_json(data):
 
 
 # One entry of a representation file as json.dumps(indent=2, sort_keys=True)
-# lays it out; %r of a float is float.__repr__, the text json writes
-_ENTRY = (
-    "        [\n          %d,\n          %d,\n          {\n"
-    '            "im": %r,\n            "re": %r\n          }\n        ]'
-)
+# lays it out, and its value object; %r of a float is float.__repr__, the
+# text json writes
+_ENTRY = "        [\n          %d,\n          %d,\n          {\n%s\n          }\n        ]"
+_VALUE = '            "im": %r,\n            "re": %r'
 
 
 def dump_rep(ops, path):
@@ -91,7 +92,11 @@ def dump_rep(ops, path):
     sort_keys=True) and a newline, for obj = {"dim": dim, "generators":
     [{"entries": [[row, col, {"im": ..., "re": ...}], ...], "name": name},
     ...]}, written one generator at a time. A non-finite part is refused
-    before the file is opened, since rep_from_json would refuse it."""
+    before the file is opened, since rep_from_json would refuse it.
+
+    Each value object's text is formatted once per operator, keyed by its
+    id: a tiled generator repeats the same few value objects, and
+    op.entries keeps each of them alive, so no id is reused meanwhile."""
     ops = list(ops)
     if not ops:
         raise ValueError("representation dump needs at least one operator")
@@ -107,11 +112,16 @@ def dump_rep(ops, path):
         for i, op in enumerate(ops):
             fh.write(",\n    {\n" if i else "\n    {\n")
             if op.entries:
+                texts = {}  # id(value) -> _VALUE text
+                lines = []
+                for row, col, value in op.entries:
+                    text = texts.get(id(value))
+                    if text is None:
+                        z = complex(value)
+                        text = texts[id(value)] = _VALUE % (z.imag, z.real)
+                    lines.append(_ENTRY % (row, col, text))
                 fh.write('      "entries": [\n')
-                fh.write(",\n".join([
-                    _ENTRY % (row, col, z.imag, z.real)
-                    for row, col, value in op.entries for z in (complex(value),)
-                ]))
+                fh.write(",\n".join(lines))
                 fh.write("\n      ],\n")
             else:
                 fh.write('      "entries": [],\n')
@@ -166,7 +176,14 @@ def _parsed_complex(value):
 
 
 def _complex_hook(obj):
-    return complex_from_json(obj) if obj.keys() == {"re", "im"} else obj
+    """A {re, im} object of two finite floats, what dump_rep writes, made a
+    complex inline; any other {re, im} object through complex_from_json."""
+    if len(obj) != 2 or "re" not in obj or "im" not in obj:
+        return obj
+    re, im = obj["re"], obj["im"]
+    if type(re) is type(im) is float and abs(re) <= _FLOAT_MAX and abs(im) <= _FLOAT_MAX:
+        return complex(re, im)
+    return complex_from_json(obj)
 
 
 def load_rep(path):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import cmath
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .coeffring import RootOfUnity
 from .errors import DegenerateParameter, ParameterSamplingError, RankMismatch
+from .qnumeric import RootOfUnity
 
 # denominators with magnitude below this are treated as vanished
 _ZERO_TOL = 1e-12
@@ -44,8 +44,7 @@ def _as_complex(value, what):
     return z
 
 
-@dataclass(frozen=True)
-class ParamsOmega:
+class ParamsOmega(namedtuple("ParamsOmega", "n root m_top h c")):
     """Representation parameters: top row, h shifts, c scalars, root order.
 
     The constructor validates structure only (index ranges, counts, nonzero
@@ -53,25 +52,16 @@ class ParamsOmega:
     that deliberately degenerate constructions remain expressible.
     """
 
-    n: int
-    root: RootOfUnity
-    m_top: tuple
-    h: dict
-    c: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        slots = set(variable_slots(self.n))  # refuses a bad rank first
-        if not isinstance(self.root, RootOfUnity):
+    def __new__(cls, n, root, m_top, h, c):
+        slots = set(variable_slots(n))  # refuses a bad rank first
+        if not isinstance(root, RootOfUnity):
             raise TypeError("root must be a RootOfUnity")
-        object.__setattr__(
-            self, "m_top",
-            tuple(_as_complex(v, "m_top entry") for v in self.m_top),
-        )
-        if len(self.m_top) != self.n // 2:
-            raise ValueError(
-                f"m_top needs {self.n // 2} entries for n={self.n}, got {len(self.m_top)}"
-            )
-        for name, table in (("h", self.h), ("c", self.c)):
+        m_top = tuple(_as_complex(v, "m_top entry") for v in m_top)
+        if len(m_top) != n // 2:
+            raise ValueError(f"m_top needs {n // 2} entries for n={n}, got {len(m_top)}")
+        for name, table in (("h", h), ("c", c)):
             keys = set(table)
             if keys != slots:
                 missing = sorted(slots - keys)
@@ -79,18 +69,16 @@ class ParamsOmega:
                 raise ValueError(
                     f"{name} slots mismatch: missing {missing}, unexpected {extra}"
                 )
-        object.__setattr__(
-            self, "h", {k: _as_complex(v, f"h{k}") for k, v in self.h.items()}
-        )
+        h = {k: _as_complex(v, f"h{k}") for k, v in h.items()}
         c_clean = {}
-        for k, v in self.c.items():
+        for k, v in c.items():
             z = _as_complex(v, f"c{k}")
             if abs(z) <= _ZERO_TOL:
                 raise DegenerateParameter(f"c{k} must be nonzero")
             c_clean[k] = z
-        object.__setattr__(self, "c", c_clean)
-        total = len(self.m_top) + len(self.h) + len(self.c)
-        assert total == parameter_count(self.n), "parameter inventory broken"
+        total = len(m_top) + len(h) + len(c_clean)
+        assert total == parameter_count(n), "parameter inventory broken"
+        return super().__new__(cls, n, root, m_top, h, c_clean)
 
     @property
     def order_k(self):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import matmul
 
 from ._rules import check_rank, classify_pair, gen_pairs, rule_table
-from .verify import defining_relation_residuals
+from ._relations import defining_relation_residuals
 
 
 class ExactMatrix(dict):

@@ -23,17 +23,17 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product
 from operator import matmul
 
-from .coeffring import qbracket_numeric, qpow_complex
 from .errors import DegenerateParameter, DimensionMismatch
 from .params import (  # random_generic_params: the benchmark launcher times it as reps.sample
     _ZERO_TOL,
     random_generic_params,
     variable_slots,
 )
+from .qnumeric import qbracket_numeric, qpow_complex
 
 
 def _l_from_m(m, i, s):
@@ -162,13 +162,10 @@ def diagonal_coeff(root, memo, s, upper, row, lower):
 # -- operators ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SparseOperator:
+class SparseOperator(namedtuple("SparseOperator", "name dim entries")):
     """One representation matrix as sorted (row, col, value) triples."""
 
-    name: str
-    dim: int
-    entries: tuple
+    __slots__ = ()
 
     def to_dense(self):
         """The d x d matrix, the values of a repeated cell summed, as every
@@ -458,7 +455,7 @@ def relation_residual(ops, root):
     bit."""
     import numpy as np
 
-    from .pbw.verify import defining_relation_instances, defining_relation_residuals
+    from .pbw._relations import defining_relation_instances, defining_relation_residuals
 
     n = len(ops) + 1
     if _common_dim(ops) > _DENSE_RESIDUAL_MAX_DIM:
@@ -498,18 +495,18 @@ _UNIT_ROUNDOFF = 2.0**-53
 _COMMUTANT_MAX_DIM = 2401
 
 
-@dataclass(frozen=True)
-class CommutantCertificate:
+class CommutantCertificate(namedtuple(
+        "CommutantCertificate", "dimension gap cond commute_margin edge_margin")):
     """The commutant dimension, and how close its checks came to failing.
     Each margin is >= 1 where its check passed, and nan where the attempt
     stopped before reaching it. dimension is None when a check declined
-    (uncertified)."""
+    (uncertified). gap is min |w_i - w_j| / |A|_F over the generic element's
+    eigenvalues, cond the 2-norm condition number of its eigenvector matrix
+    V, commute_margin beta over the largest relative commutator of a
+    component projector, and edge_margin the smallest entry counted as an
+    edge over beta."""
 
-    dimension: int | None
-    gap: float  # min |w_i - w_j| / |A|_F over the generic element's eigenvalues
-    cond: float  # 2-norm condition number of its eigenvector matrix V
-    commute_margin: float  # beta / largest relative commutator of a component projector
-    edge_margin: float  # smallest entry counted as an edge / beta
+    __slots__ = ()
 
 
 def _component_labels(adj):

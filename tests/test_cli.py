@@ -634,8 +634,27 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert proc.stdout == "[]\n[]\n"
 
 
-# the exact verbs, params-sample and rep-build run without numpy; rep-verify
-# and psi-verify need it. Each verb's setup runs first, in its own process.
+def test_import_uqson_loads_only_errors_and_lazy():
+    # every other submodule and name resolves on first access, so a process
+    # that reads one name compiles only the modules behind it
+    code = (
+        "import sys\n"
+        "import uqson\n"
+        "print(sorted(m for m in sys.modules if m.startswith('uqson')))\n"
+        "uqson.RootOfUnity\n"
+        "print(sorted(m for m in sys.modules if m.startswith('uqson')))\n"
+    )
+    proc = run_process([sys.executable, "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['uqson', 'uqson._lazy', 'uqson.errors']",
+        "['uqson', 'uqson._lazy', 'uqson.errors', 'uqson.qnumeric']",
+    ]
+
+
+# the exact verbs, params-sample and rep-build run without numpy; rep-verify,
+# rep-commutant and psi-verify need it. Each verb's setup runs first, in its
+# own process.
 VERB_ARGV = {
     "pbw-reduce": ["pbw-reduce", "--n", "3", "I32*I21"],
     "relations-verify": ["relations-verify", "--n", "4"],
@@ -645,14 +664,41 @@ VERB_ARGV = {
                       "--out", "{tmp}/omega.json"],
     "rep-build": ["rep-build", "--params", "{tmp}/omega.json", "--out", "{tmp}/rep.json"],
     "rep-verify": ["rep-verify", "--rep", "{tmp}/rep.json", "--q-order", "5"],
+    "rep-commutant": ["rep-commutant", "--rep", "{tmp}/rep.json"],
     "embed-verify": ["embed-verify", "--n", "4"],
     "psi-verify": ["psi-verify", "--twoj", "2", "--seed", "0", "--samples", "2"],
 }
-SETUP = {"rep-build": ["params-sample"], "rep-verify": ["params-sample", "rep-build"]}
+SETUP = {"rep-build": ["params-sample"], "rep-verify": ["params-sample", "rep-build"],
+         "rep-commutant": ["params-sample", "rep-build"]}
 
-# verbs that load neither uqson.expr nor the PBW kernel: no uqson.pbw module
-# but the rule table `_rules`, which defines the variant names the parser offers
-PBW_FREE = {"params-sample", "rep-build"}
+# The symbolic PBW code: the expression parser, the straightening kernel and
+# what is built on it. The rule table `_rules` and the relation table
+# `_relations` are not part of it: the parser reads the variant names from
+# the one, and the numeric residuals take the relations from the other.
+KERNEL = ("uqson.expr", "uqson.pbw._straighten", "uqson.pbw.algebra", "uqson.pbw.classical",
+          "uqson.pbw.fuzz", "uqson.pbw.printing", "uqson.pbw.verify")
+# the exact coefficient ring, and the rationals it is built on
+EXACT_RING = ("fractions", "uqson.coeffring")
+# the verbs that compute in floating point: they load neither KERNEL nor
+# EXACT_RING
+PBW_FREE = {"params-sample", "rep-build", "rep-verify", "rep-commutant", "psi-verify"}
+# the verbs that read or write a JSON file as VERB_ARGV runs them
+FILE_VERBS = {"params-sample", "rep-build", "rep-verify", "rep-commutant"}
+WATCHED = (*HEAVY, "dataclasses", "uqson.jsonio", *KERNEL, *EXACT_RING)
+
+
+def run_verb_in_process(argv):
+    """Run `main(argv)` in a fresh interpreter; return the process and the
+    WATCHED modules it loaded (written to stderr, so stdout is the verb's)."""
+    code = (
+        "import json, sys\n"
+        "from uqson.cli import main\n"
+        f"code = main({argv!r})\n"
+        f"print(json.dumps([m for m in {WATCHED!r} if m in sys.modules]), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = run_process([sys.executable, "-c", code])
+    return proc, set(json.loads(proc.stderr.splitlines()[-1]))
 
 
 @pytest.mark.parametrize("verb, loads_numpy", [
@@ -663,6 +709,7 @@ PBW_FREE = {"params-sample", "rep-build"}
     ("params-sample", False),
     ("rep-build", False),
     ("rep-verify", True),
+    ("rep-commutant", True),
     ("embed-verify", False),
     ("psi-verify", True),
 ])
@@ -671,26 +718,31 @@ def test_verb_loads_numpy_only_when_it_computes_with_it(tmp_path, verb, loads_nu
         setup = [a.format(tmp=tmp_path) for a in VERB_ARGV[step]]
         assert run_process([sys.executable, "-m", "uqson.cli", *setup]).returncode == 0
     argv = [a.format(tmp=tmp_path) for a in VERB_ARGV[verb]]
-    # the report goes to stderr, so stdout is the verb's own output
-    code = (
-        "import sys\n"
-        "from uqson.cli import main\n"
-        f"code = main({argv!r})\n"
-        f"print(sorted(m for m in {HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
-        "print(sorted(m for m in sys.modules if m == 'uqson.expr' or\n"
-        "             m.startswith('uqson.pbw.') and m != 'uqson.pbw._rules'),\n"
-        "      file=sys.stderr)\n"
-        "sys.exit(code)\n"
-    )
-    in_process = run_process([sys.executable, "-c", code])
+    in_process, loaded = run_verb_in_process(argv)
     artifacts = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     module = run_process([sys.executable, "-m", "uqson.cli", *argv])
     assert in_process.returncode == module.returncode == 0, in_process.stderr
     assert in_process.stdout == module.stdout
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == artifacts
-    heavy, kernel = in_process.stderr.splitlines()
-    assert heavy == ("['numpy']" if loads_numpy else "[]")
-    assert (kernel == "[]") == (verb in PBW_FREE), kernel
+    assert loaded & set(HEAVY) == ({"numpy"} if loads_numpy else set())
+    # dataclasses costs about 7 ms with inspect, more than any uqson module
+    assert "dataclasses" not in loaded
+    assert (not loaded & set(KERNEL)) == (verb in PBW_FREE), loaded
+    assert (not loaded & set(EXACT_RING)) == (verb in PBW_FREE), loaded
+    assert ("uqson.jsonio" in loaded) == (verb in FILE_VERBS)
+
+
+@pytest.mark.parametrize("verb", ["embed-verify", "psi-verify"])
+def test_embed_and_psi_verify_load_jsonio_only_to_write_out(tmp_path, verb):
+    report = tmp_path / "report.json"
+    proc, loaded = run_verb_in_process([*VERB_ARGV[verb], "--out", str(report)])
+    plain = run_process([sys.executable, "-m", "uqson.cli", *VERB_ARGV[verb]])
+    assert proc.returncode == plain.returncode == 0, proc.stderr
+    assert proc.stdout == plain.stdout
+    assert "uqson.jsonio" in loaded
+    assert [entry["pass"] for entry in json.loads(report.read_text())] == [
+        line.endswith(("pass", "PASS")) for line in plain.stdout.splitlines()[:-1]
+    ]
 
 
 @pytest.mark.parametrize("order", [16, 17], ids=["d256-dense", "d289-sparse"])

@@ -69,14 +69,6 @@ def test_pow_matches_repeated_product():
         p ** (-1)
 
 
-def test_invert_q_is_an_involution_and_mirrors_exponents():
-    p = LaurentPoly({1: 2, Fraction(-1, 2): 5})
-    assert p.invert_q().items2() == ((-2, 2), (1, 5))
-    assert p.invert_q().invert_q() == p
-    # [a] is invariant under q -> q^-1
-    assert qnumber(3).invert_q() == qnumber(3)
-
-
 def test_qnumber_closed_forms():
     assert qnumber(0).is_zero()
     assert qnumber(1) == LaurentPoly.one()
