@@ -1,8 +1,8 @@
 """Representation parameters: validation, genericity checks and seeded sampling.
 
-Only the standard library is used here, so drawing and writing a parameter
-file (`params-sample`) needs no numeric stack. `reps` imports _ZERO_TOL and
-variable_slots, which it uses, and random_generic_params, which the benchmark
+Only the standard library is used here, so `params-sample` needs no numeric
+stack. `reps` imports variable_slots, _ZERO_TOL (the vanishing-denominator
+test of its _ComplexField) and random_generic_params, which the benchmark
 launcher patches there; import every other name from here.
 """
 

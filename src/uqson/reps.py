@@ -4,9 +4,11 @@ The basis of the k^N-dimensional space is labelled by tableaux whose variable
 entries range cyclically over k values above the h parameters. Each generator
 I_{s+1,s} acts by shifting one entry of row s up or down (mod k) with
 coefficients that are ratios of q-brackets of l-coordinates, plus a diagonal
-term for odd s. Matrix columns are indexed by the source tableau, read as a
-mixed-radix number in base k. A generator reads only three rows of the
-tableau, so its matrix is one small local matrix tiled over the other digits.
+term for odd s. They are computed through one field object, _ComplexField,
+which tests replace with their own. Matrix columns are indexed by the source
+tableau, read as a mixed-radix number in base k. A generator reads only three
+rows of the tableau, so its matrix is one small local matrix tiled over the
+other digits.
 
 Building needs only the standard library; numpy, the package's only
 dependency, is imported by the code that computes with matrices (to_dense,
@@ -44,56 +46,56 @@ def _l_from_m(m, i, s):
     return l + 1 if s % 2 else l
 
 
-# -- coefficient evaluation --------------------------------------------------
+# -- coefficient field ---------------------------------------------------------
 
 
 # memo key: the bits of a complex value, plus a tag naming the function
 _KEY = struct.Struct("<cdd").pack
 
 
-def _bracket(root, memo, x, label=None):
-    """The q-bracket [x], computed once per build and kept in `memo`. With a
-    label, [x] is a denominator factor and a vanishing value raises
-    DegenerateParameter naming it, on every call, a memo hit included. The
-    label is (str.format template, *fields), formatted only when raising.
+class _ComplexField:
+    """The numbers the build computes with: complex floats at the root of
+    unity `root`, reached only through bracket, qpow_sum, sqrt and i.
 
-    The key is the bits of x, not its value: 0j == -0j, yet cmath.sqrt(-1+0j)
-    and cmath.sqrt(-1-0j) fall on opposite branches, and [-0+0j] = 0j while
-    [-0-0j] = -0j. Brackets stay scalar cmath: numpy's complex division
-    differs from CPython's in the last bit, and the build must reproduce it
-    exactly.
+    Each [x] and q^x + q^-x is computed once, kept under the bits of x:
+    0j == -0j, yet cmath.sqrt(-1+0j) and cmath.sqrt(-1-0j) fall on opposite
+    branches, and [-0+0j] = 0j while [-0-0j] = -0j. A labelled value is a
+    denominator factor: on every call, a memo hit included, a vanishing one
+    raises DegenerateParameter naming it, the label (str.format template,
+    *fields) formatted only then; so does an overflowing q-power. Values
+    stay scalar cmath: numpy's complex division differs in the last bit.
     """
-    key = _KEY(b"[", x.real, x.imag)
-    try:
-        v = memo[key]
-    except KeyError:
+
+    i = 1j
+    sqrt = staticmethod(cmath.sqrt)
+
+    def __init__(self, root):
+        self.root, self._memo = root, {}
+
+    def bracket(self, x, label=None):
+        return self._value(b"[", x, label, "bracket [{x}]", "bracket [{name}] = [{x}]")
+
+    def qpow_sum(self, x, label):
+        return self._value(b"+", x, label, "q^l+q^-l at {x}", "q^l+q^-l at {name} = {x}")
+
+    def _value(self, tag, x, label, at_x, named):
+        key = _KEY(tag, x.real, x.imag)
         try:
-            v = memo[key] = qbracket_numeric(x, root)
-        except OverflowError as exc:
-            raise DegenerateParameter(f"q-power overflows in bracket [{x}]") from exc
-    if label is not None and abs(v) < _ZERO_TOL:
-        name = label[0].format(*label[1:])
-        raise DegenerateParameter(f"vanishing denominator bracket [{name}] = [{x}]")
-    return v
+            v = self._memo[key]
+        except KeyError:
+            try:  # module globals, looked up per call: a tracer's patch sees them
+                v = self._memo[key] = (
+                    qbracket_numeric(x, self.root) if tag == b"[" else
+                    qpow_complex(x, self.root) + qpow_complex(-x, self.root))
+            except OverflowError as exc:
+                raise DegenerateParameter("q-power overflows in " + at_x.format(x=x)) from exc
+        if label is not None and abs(v) < _ZERO_TOL:
+            name = label[0].format(*label[1:])
+            raise DegenerateParameter("vanishing denominator " + named.format(name=name, x=x))
+        return v
 
 
-def _qpow_sum(root, memo, x, label):
-    """The denominator q^x + q^-x, memoized and checked like _bracket."""
-    key = _KEY(b"+", x.real, x.imag)
-    try:
-        v = memo[key]
-    except KeyError:
-        try:
-            v = memo[key] = qpow_complex(x, root) + qpow_complex(-x, root)
-        except OverflowError as exc:
-            raise DegenerateParameter(f"q-power overflows in q^l+q^-l at {x}") from exc
-    if abs(v) < _ZERO_TOL:
-        name = label[0].format(*label[1:])
-        raise DegenerateParameter(f"vanishing denominator q^l+q^-l at {name} = {x}")
-    return v
-
-
-def shift_coeff(root, memo, s, j, upper, row, lower):
+def shift_coeff(field, s, j, upper, row, lower):
     """Coefficient for shifting entry j of row s, from the l-coordinates of
     rows s+1, s and s-1 of the source basis vector (sequences indexed from
     entry 1). It is a square root of
@@ -116,7 +118,7 @@ def shift_coeff(root, memo, s, j, upper, row, lower):
     """
 
     def sqrt_bracket(x, label=None):
-        return cmath.sqrt(_bracket(root, memo, x, label))
+        return field.sqrt(field.bracket(x, label))
 
     e = 1 - s % 2
     pm = 1 if e else -1
@@ -126,7 +128,7 @@ def shift_coeff(root, memo, s, j, upper, row, lower):
         num *= sqrt_bracket(li + lj) * sqrt_bracket(li - lj - e)
     for li in lower:
         # row s-1 sits below row s: reorient the difference
-        num *= sqrt_bracket(li + lj) * (1j * sqrt_bracket(lj - li + e))
+        num *= sqrt_bracket(li + lj) * (field.i * sqrt_bracket(lj - li + e))
     den = 1 + 0j
     for i, li in enumerate(row, 1):
         if i == j:
@@ -137,25 +139,23 @@ def shift_coeff(root, memo, s, j, upper, row, lower):
             den *= sqrt_bracket(li - lj, ("l_{},{}-l_{},{}", i, s, j, s))
             den *= sqrt_bracket(li - lj - 1, ("l_{},{}-l_{},{}-1", i, s, j, s))
         else:
-            den *= 1j * sqrt_bracket(lj - li, ("l_{},{}-l_{},{}", j, s, i, s))
-            den *= 1j * sqrt_bracket(lj - li + 1, ("l_{},{}-l_{},{}+1", j, s, i, s))
+            den *= field.i * sqrt_bracket(lj - li, ("l_{},{}-l_{},{}", j, s, i, s))
+            den *= field.i * sqrt_bracket(lj - li + 1, ("l_{},{}-l_{},{}+1", j, s, i, s))
     return num / den
 
 
-def diagonal_coeff(root, memo, s, upper, row, lower):
+def diagonal_coeff(field, s, upper, row, lower):
     """Diagonal coefficient of I_{s+1,s} for odd s, from the l-coordinates of
     rows s+1, s and s-1:
     prod_i [l_{i,s+1}] * prod_i [l_{i,s-1}] / prod_i [l_{i,s}] [l_{i,s}-1].
     """
     num = 1 + 0j
-    for li in upper:
-        num *= _bracket(root, memo, li)
-    for li in lower:
-        num *= _bracket(root, memo, li)
+    for li in (*upper, *lower):
+        num *= field.bracket(li)
     den = 1 + 0j
     for i, li in enumerate(row, 1):
-        den *= _bracket(root, memo, li, ("l_{},{}", i, s))
-        den *= _bracket(root, memo, li - 1, ("l_{},{}-1", i, s))
+        den *= field.bracket(li, ("l_{},{}", i, s))
+        den *= field.bracket(li - 1, ("l_{},{}-1", i, s))
     return num / den
 
 
@@ -179,7 +179,7 @@ class SparseOperator(namedtuple("SparseOperator", "name dim entries")):
         return m.reshape(self.dim, self.dim)
 
 
-def _shift_operator(omega, memo, s):
+def _shift_operator(omega, field, s):
     """Matrix of the generator I_{s+1,s}: each entry of row s shifted up and
     down by one, cyclically mod k, plus a diagonal term for odd s.
 
@@ -191,7 +191,7 @@ def _shift_operator(omega, memo, s):
     the shift denominators: q^l + q^-l for even s, [2l-1][l] up and
     [2l-1][l-1] down for odd s.
     """
-    n, k, root = omega.n, omega.order_k, omega.root
+    n, k = omega.n, omega.order_k
     slots = variable_slots(n)
     lo = next(pos for pos, (_, r) in enumerate(slots) if r <= s + 1)
     local = [(i, r) for i, r in slots[lo:] if r >= s - 1]
@@ -214,21 +214,21 @@ def _shift_operator(omega, memo, s):
         for j, p in enumerate(rows[s], 1):
             lj = row[j - 1]
             if s % 2 == 0:
-                den_up = den_down = _qpow_sum(root, memo, lj, ("l_{},{}", j, s))
+                den_up = den_down = field.qpow_sum(lj, ("l_{},{}", j, s))
             else:
-                shared = _bracket(root, memo, 2 * lj - 1, ("2l_{},{}-1", j, s))
-                den_up = shared * _bracket(root, memo, lj, ("l_{},{}", j, s))
-                den_down = shared * _bracket(root, memo, lj - 1, ("l_{},{}-1", j, s))
+                shared = field.bracket(2 * lj - 1, ("2l_{},{}-1", j, s))
+                den_up = shared * field.bracket(lj, ("l_{},{}", j, s))
+                den_down = shared * field.bracket(lj - 1, ("l_{},{}-1", j, s))
             cj = omega.c[(j, s)]
             off, step = offs[p], k ** (w - 1 - p)
             add(col + ((off + 1) % k - off) * step, col,
-                cj * shift_coeff(root, memo, s, j, upper, row, lower) / den_up)
+                cj * shift_coeff(field, s, j, upper, row, lower) / den_up)
             down_row = list(row)
             down_row[j - 1] = lvals[p][(off - 1) % k]
             add(col + ((off - 1) % k - off) * step, col,
-                -shift_coeff(root, memo, s, j, upper, down_row, lower) / (cj * den_down))
+                -shift_coeff(field, s, j, upper, down_row, lower) / (cj * den_down))
         if s % 2:
-            add(col, col, 1j * diagonal_coeff(root, memo, s, upper, row, lower))
+            add(col, col, field.i * diagonal_coeff(field, s, upper, row, lower))
     inner, dim = k ** (len(slots) - lo - w), k ** len(slots)
     m_rows = {}  # the rows of M, its indices scaled by the inner digits
     for (r, c), v in sorted(cells.items()):
@@ -247,17 +247,17 @@ def _shift_operator(omega, memo, s):
 def build_representation(omega):
     """Operators for the neighbor generators in order (I21, I32, ..., I_{n,n-1}).
 
-    One memo of brackets and q-power sums serves every generator: the same
-    few l-coordinates recur across columns and generators. A dimension
-    above _MAX_DIM, which no representation file may declare, is refused
-    before anything is built.
+    One _ComplexField serves every generator, so its memo computes each
+    bracket and q-power sum once: the same few l-coordinates recur across
+    columns and generators. A dimension above _MAX_DIM, which no
+    representation file may declare, is refused before anything is built.
     """
     dim = omega.dimension()
     if dim > _MAX_DIM:
         raise DimensionMismatch(f"dim = {dim} is not in 1..{_MAX_DIM}, "
                                 "the dimensions a representation file may declare")
-    memo = {}
-    return [_shift_operator(omega, memo, s) for s in range(1, omega.n)]
+    field = _ComplexField(omega.root)
+    return [_shift_operator(omega, field, s) for s in range(1, omega.n)]
 
 
 # -- verification --------------------------------------------------------------

@@ -40,9 +40,8 @@ from uqson.params import (
 from uqson.reps import (
     _DENSE_RESIDUAL_MAX_DIM,
     SparseOperator,
+    _ComplexField,
     _FlatSparse,
-    _bracket,
-    _qpow_sum,
     build_representation,
     commutant_certificate,
     commutant_dimension,
@@ -175,23 +174,22 @@ def test_bracket_memo_keys_on_the_bits_of_x(first):
     # 0j == -0j, but [-0+0j] = 0j and [-0-0j] = -0j: a memo keyed on the
     # value would hand the first zero's bracket to the second
     root = RootOfUnity(5, 1)
-    memo = {}
+    field = _ComplexField(root)
     for imag in (first, -first, first):
         x = complex(-0.0, imag)
-        assert _bits(_bracket(root, memo, x)) == _bits(qbracket_numeric(x, root))
-    assert len(memo) == 2
+        assert _bits(field.bracket(x)) == _bits(qbracket_numeric(x, root))
+    assert len(field._memo) == 2
 
 
 def test_denominator_checks_run_on_a_memo_hit():
-    root = RootOfUnity(3, 1)
-    memo = {}
-    assert abs(_bracket(root, memo, 3 + 0j)) < 1e-15  # a numerator zero is legitimate
+    field = _ComplexField(RootOfUnity(3, 1))
+    assert abs(field.bracket(3 + 0j)) < 1e-15  # a numerator zero is legitimate
     for _ in range(2):
         with pytest.raises(DegenerateParameter, match=r"^vanishing denominator bracket \[l\] = "):
-            _bracket(root, memo, 3 + 0j, "l")
+            field.bracket(3 + 0j, "l")
     for _ in range(2):  # q^l + q^-l = 2 cos(pi/2) = 0 at k = 3
         with pytest.raises(DegenerateParameter, match=r"^vanishing denominator q\^l\+q\^-l"):
-            _qpow_sum(root, memo, 0.75 + 0j, "l_1,2")
+            field.qpow_sum(0.75 + 0j, "l_1,2")
 
 
 def test_an_overflowing_q_power_is_a_degenerate_parameter():
@@ -199,10 +197,10 @@ def test_an_overflowing_q_power_is_a_degenerate_parameter():
     root = RootOfUnity(3, 1)
     message = r"^q-power overflows in bracket \[\(0\.4-400j\)\]$"
     with pytest.raises(DegenerateParameter, match=message):
-        _bracket(root, {}, complex(0.4, -400))
+        _ComplexField(root).bracket(complex(0.4, -400))
     message = r"^q-power overflows in q\^l\+q\^-l at \(0\.4\+400j\)$"
     with pytest.raises(DegenerateParameter, match=message):
-        _qpow_sum(root, {}, complex(0.4, 400), "l_1,2")
+        _ComplexField(root).qpow_sum(complex(0.4, 400), "l_1,2")
 
 
 # -- parameter container --------------------------------------------------------
