@@ -17,7 +17,9 @@ multiplies _FlatSparse matrices, which are numpy code, block by block over
 the stored rows, so its working memory follows _RESIDUAL_BLOCK_TERMS and not
 the dimension. The commutant certificate diagonalizes a generic element and
 checks its eigenbasis graph after the fact; an input it declines is reported
-uncertified, and a dimension above _COMMUTANT_MAX_DIM is refused.
+uncertified, and a dimension above _COMMUTANT_MAX_DIM is refused. It keeps
+the generators as _FlatSparse matrices, multiplies them with its dense ones
+in O(nnz * d), and holds its fixed random draw as a table, _GENERIC_DRAW.
 """
 
 from __future__ import annotations
@@ -169,14 +171,8 @@ class SparseOperator(namedtuple("SparseOperator", "name dim entries")):
 
     def to_dense(self):
         """The d x d matrix, the values of a repeated cell summed, as every
-        residual and certificate path reads them."""
-        import numpy as np
-
-        flat = _FlatSparse.from_operator(self)
-        m = np.zeros(self.dim * self.dim, dtype=np.complex128)
-        m.real[flat.cells] = flat.re
-        m.imag[flat.cells] = flat.im
-        return m.reshape(self.dim, self.dim)
+        residual path reads them."""
+        return _FlatSparse.from_operator(self).to_dense()
 
 
 def _shift_operator(omega, field, s):
@@ -301,16 +297,20 @@ class _FlatSparse:
     and the real and imaginary parts of their values. It supports what
     defining_relation_residuals applies to its operands, X @ Y, X + Y, X - Y
     and c * X, and abs(X), the absolute values of the stored entries. Memory
-    is O(nnz), with no array of length d.
+    is O(nnz), with no array of length d. The commutant certificate also
+    multiplies it with dense matrices, X @ M and M @ X, in O(nnz * d).
 
     A row block (see row_block) holds the cells of some rows of a whole
     matrix and a reference to it. As a left operand and in sums it is those
     rows; as the right operand of @ it is the whole matrix, so that
     X[I] @ Y[I] gives (X @ Y)[I].
 
-    Every value is formed from real operations on its parts: numpy's complex
-    multiply may fuse them (FMA), so that x * y and y * x differ in the last
-    bit, and a commutator of commuting operators would not cancel exactly.
+    Every stored value is formed from real operations on its parts: numpy's
+    complex multiply may fuse them (FMA), so that x * y and y * x differ in
+    the last bit, and a commutator of commuting operators would not cancel
+    exactly. The products with dense matrices, which return dense arrays,
+    use numpy's complex multiply: the certificate measures its commutators
+    against a rounding estimate and needs no exact cancellation.
     """
 
     __slots__ = ("dim", "cells", "re", "im", "whole", "_index")
@@ -397,9 +397,64 @@ class _FlatSparse:
 
         # numpy's complex absolute value, which differs from np.hypot in the
         # last bit, so that both residual paths measure a value alike
+        return np.abs(self.values())
+
+    def values(self):
+        """The stored values as one complex array."""
+        import numpy as np
+
         values = np.empty(len(self.cells), dtype=np.complex128)
         values.real, values.imag = self.re, self.im
-        return np.abs(values)
+        return values
+
+    def to_dense(self):
+        """The d x d array."""
+        import numpy as np
+
+        m = np.zeros(self.dim * self.dim, dtype=np.complex128)
+        m.real[self.cells] = self.re
+        m.imag[self.cells] = self.im
+        return m.reshape(self.dim, self.dim)
+
+    def times_dense(self, x):
+        """self @ x for a dense x of d rows: each pass adds one stored entry
+        of every stored row times a row of x, so no row is added twice."""
+        import numpy as np
+
+        rows, cols = np.divmod(self.cells, self.dim)
+        values = self.values()
+        out = np.zeros((self.dim, x.shape[1]), dtype=np.complex128)
+        for take in _passes(rows):
+            terms = x[cols[take]]
+            terms *= values[take, None]
+            out[rows[take]] += terms
+        return out
+
+    def dense_times(self, x):
+        """x @ self for a dense x of d columns, one stored entry of every
+        stored column per pass."""
+        import numpy as np
+
+        rows, cols = np.divmod(self.cells, self.dim)
+        values = self.values()
+        out = np.zeros((x.shape[0], self.dim), dtype=np.complex128)
+        for take in _passes(cols):
+            terms = x[:, rows[take]]
+            terms *= values[take]
+            out[:, cols[take]] += terms
+        return out
+
+
+def _passes(keys):
+    """Index arrays into keys, one per pass, that take every position once
+    and no key twice in one pass: pass r takes the r-th position of each
+    key that occurs more than r times."""
+    import numpy as np
+
+    order = np.argsort(keys, kind="stable")
+    first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    rank = np.arange(len(keys)) - np.repeat(first, np.diff(first, append=len(keys)))
+    return [order[rank == r] for r in range(int(rank.max(initial=-1)) + 1)]
 
 
 # Largest dimension whose residual is taken with dense products. It is kept
@@ -488,10 +543,40 @@ _MAX_COND = 1e6
 _EDGE_THRESHOLD = 1e-9
 _UNIT_ROUNDOFF = 2.0**-53
 
-# Largest dimension the certificate takes. Its dense d x d matrices peak at
-# about 190 B * d^2 (+67 MiB of peak RSS in process at (5,5), d = 625, and
-# +304 MiB at (5,6), d = 1296, seed 0), so this limit, (5,7) = 2401, needs
-# about 1.1 GB, and 4096 would need 3.2 GB.
+# The first 84 values of np.random.default_rng(_GENERIC_SEED).standard_normal:
+# the coefficients of up to 6 generators (2 m (m + 1) values for m), so that
+# the certificate imports no numpy.random (6 MB and 11-17 ms per process).
+# A built representation at or below _COMMUTANT_MAX_DIM has at most 5
+# generators. repr gives each double exactly.
+_GENERIC_DRAW = (
+    -0.7887306267551099, 0.983685497962133, 0.4638512778327348, -0.18190313115129744,
+    0.13811024533816452, -0.3385395767531325, -0.022947286601114034, 1.3539004153128744,
+    0.2665664057408861, 1.9748276465709176, 1.1031653651450197, -0.21072482683618352,
+    -0.31718094639644734, -0.47979368078620593, 2.2286611757306916, -0.15747681108299832,
+    1.733671640048789, 1.0926708415183253, -2.4141795260777568, -0.09845644213143201,
+    0.6408305869879801, -0.6125297138225455, 0.6522557006377067, -1.2988964927150608,
+    -0.36693963724055695, -1.1226893132958395, -0.3644343068991709, 2.0869185176468728,
+    0.7112550647436233, 0.43546795480967965, 0.4334054753293264, 0.35491944793066194,
+    1.4348356571279455, 1.9722667982654696, -0.36221194846514926, -0.7520600925154417,
+    0.4069182729288598, 0.8330918991293192, -0.8367728737509823, -0.022085279245971496,
+    -0.503653892959937, -0.659993448534232, 1.5888237189373655, -0.08357662264972694,
+    1.85478183887903, -1.9956115939934211, 1.1246999244159768, -0.5889814397187064,
+    -1.7144984547923463, -0.034433608511538136, 0.8020090390865164, -0.5826784193919733,
+    1.046364831162978, -0.49079317604405426, -0.03580501307866291, 1.3737204446468634,
+    -2.2614375272279092, -0.5427172533779485, -0.029950971808955, 1.2991867137335973,
+    -1.8390875695960955, -2.135936312437429, -0.22716320297467615, 0.6774716191910448,
+    -1.6267385195262736, 1.0492828542620316, 1.1469638566322307, -0.29153278584423936,
+    -1.487966111419356, 0.05569447396375782, 1.2966624211499724, 0.30913546762945193,
+    -1.690452739857274, -1.2320241756224837, -0.705808896576652, 0.3867266950968507,
+    -1.0130628207339079, 0.5030707832346367, 0.07847775016533698, 1.6057381514702815,
+    -1.3949380842024142, 0.5390000411084078, -0.8687649646553363, -1.4916788849995326,
+)
+
+# Largest dimension the certificate takes. Its dense d x d matrices (A, V,
+# V^-1, the weights, a projector and the products with the sparse generators)
+# peak at about 125 B * d^2 (+38 MiB of peak RSS in process at (5,5),
+# d = 625, and +199 MiB at (5,6), d = 1296, seed 0, one BLAS thread), so this
+# limit, (5,7) = 2401, needs about 0.7 GB, and 4096 would need 2.1 GB.
 _COMMUTANT_MAX_DIM = 2401
 
 
@@ -535,30 +620,46 @@ def _component_labels(adj):
     return labels
 
 
-def _generic_element(dense):
-    """A fixed-seed complex combination A of the generators and all their
-    pairwise products, assembled as sum_i T_i (c_i + sum_j c_ij T_j)."""
+def _generic_coefficients(m):
+    """The m x (m + 1) complex coefficients of the generic element of m
+    generators: the first m (m + 1) normals of default_rng(_GENERIC_SEED)
+    are their real parts and the next m (m + 1) their imaginary parts,
+    taken from _GENERIC_DRAW where it holds them."""
     import numpy as np
 
-    d, m = dense[0].shape[0], len(dense)
-    rng = np.random.default_rng(_GENERIC_SEED)
-    coef = rng.standard_normal((m, m + 1)) + 1j * rng.standard_normal((m, m + 1))
-    a = np.zeros((d, d), dtype=np.complex128)
-    for i, t in enumerate(dense):
-        poly = coef[i, m] * np.eye(d) + sum(coef[i, j] * dense[j] for j in range(m))
-        a += t @ poly
-    return a
+    size = m * (m + 1)
+    if 2 * size <= len(_GENERIC_DRAW):
+        draw = np.array(_GENERIC_DRAW[:2 * size])
+    else:
+        draw = np.random.default_rng(_GENERIC_SEED).standard_normal(2 * size)
+    return (draw[:size] + 1j * draw[size:]).reshape(m, m + 1)
 
 
-def _eigenbasis_graph(dense):
-    """The CommutantCertificate of the dense operators, from the eigenbasis of
-    their generic element A (see commutant_certificate). If eig fails, all four
-    margins are nan; if the gap or cond(V) rules V out, the two graph ones are."""
+def _generic_element(gens):
+    """A fixed-seed complex combination A of the _FlatSparse generators and
+    all their pairwise products, sum_i T_i (c_i I + sum_j c_ij T_j), formed
+    sparse and returned dense."""
+    import numpy as np
+
+    d, m = gens[0].dim, len(gens)
+    coef = _generic_coefficients(m)
+    eye = _FlatSparse(d, np.arange(d) * (d + 1), np.ones(d), np.zeros(d))
+    a = _FlatSparse(d, eye.cells[:0], eye.re[:0], eye.im[:0])  # no stored entry
+    for i, t in enumerate(gens):
+        a += t @ sum((coef[i, j] * u for j, u in enumerate(gens)), coef[i, m] * eye)
+    return a.to_dense()
+
+
+def _eigenbasis_graph(gens):
+    """The CommutantCertificate of the _FlatSparse generators, from the
+    eigenbasis of their generic element A (see commutant_certificate). If eig
+    fails, all four margins are nan; if the gap or cond(V) rules V out, the
+    two graph ones are."""
     import numpy as np
 
     nan = float("nan")
-    d = dense[0].shape[0]
-    a = _generic_element(dense)
+    d = gens[0].dim
+    a = _generic_element(gens)
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError:
@@ -567,24 +668,29 @@ def _eigenbasis_graph(dense):
     np.fill_diagonal(spread, np.inf)
     scale = float(np.linalg.norm(a))
     gap = float(spread.min()) / scale if scale else 0.0
+    del a, spread  # not held through the products below
     cond = float(np.linalg.cond(v))
     if not (gap >= _MIN_GAP and cond <= _MAX_COND):
         return CommutantCertificate(None, gap, cond, nan, nan)
     v_inv = np.linalg.inv(v)
-    weight = sum(np.abs(v_inv @ (t @ v)) for t in dense)
+    weight = sum(np.abs(v_inv @ t.times_dense(v)) for t in gens)
     weight /= weight.max()  # A != 0 here, so some T_i is nonzero
     edges = (weight > _EDGE_THRESHOLD) & ~np.eye(d, dtype=bool)
     beta = cond**2 * d * _UNIT_ROUNDOFF
     edge_margin = float(weight[edges].min(initial=np.inf)) / beta
     labels = _component_labels(edges | edges.T)
+    del weight, edges
     components = int(labels.max()) + 1
     worst = 0.0  # one component: P = I commutes exactly
     if components > 1:
         for c in range(components):
             part = labels == c
             p = v[:, part] @ v_inv[part, :]
-            worst = max(worst, *(float(np.abs(p @ t - t @ p).max()) for t in dense))
-        worst /= max(float(np.abs(t).max()) for t in dense)
+            for t in gens:
+                commutator = t.dense_times(p)
+                commutator -= t.times_dense(p)
+                worst = max(worst, float(np.abs(commutator).max()))
+        worst /= max(float(abs(t).max(initial=0.0)) for t in gens)
     commute_margin = beta / worst if worst else float("inf")
     components = components if min(commute_margin, edge_margin) >= 1 else None
     return CommutantCertificate(components, gap, cond, commute_margin, edge_margin)
@@ -630,7 +736,7 @@ def commutant_certificate(ops):
       - Upper bound: the smallest edge is >= beta, so every edge is a nonzero
         of the exact V^-1 T_i V, not rounding, and commutant <= #components.
     commute_margin and edge_margin are these two ratios to beta. Measured at
-    (4,8) and (4,10), seeds 0-11, the largest commutator is 0.43 beta and
+    (4,8) and (4,10), seeds 0-11, the largest commutator is 0.34 beta and
     the smallest edge 2.5e4 beta.
 
     An input any check declines gets dimension None (uncertified), at every
@@ -642,8 +748,8 @@ def commutant_certificate(ops):
     if dim > _COMMUTANT_MAX_DIM:
         raise DimensionMismatch(f"commutant certificate: dim = {dim} is above its limit "
                                 f"{_COMMUTANT_MAX_DIM} (its dense matrices need about "
-                                "190 B * dim^2)")
-    return _eigenbasis_graph([op.to_dense() for op in ops])
+                                "125 B * dim^2)")
+    return _eigenbasis_graph([_FlatSparse.from_operator(op) for op in ops])
 
 
 def commutant_dimension(ops):

@@ -277,7 +277,7 @@ CAPPED_CLI = (
 
 @pytest.mark.parametrize("verb", ["rep-commutant", "rep-verify"])
 def test_exit_4_on_a_commutant_past_its_dimension_limit(tmp_path, verb):
-    # the certificate's dense matrices need about 190 B * d^2; at d = 4096
+    # the certificate's dense matrices need about 125 B * d^2; at d = 4096
     # it used to run out of memory with a traceback and exit 1
     from uqson import reps
 
@@ -292,7 +292,7 @@ def test_exit_4_on_a_commutant_past_its_dimension_limit(tmp_path, verb):
     proc = run_process([sys.executable, "-c", CAPPED_CLI, *argv], timeout=20)
     assert proc.returncode == 4
     assert proc.stderr == (f"error: commutant certificate: dim = {dim} is above its limit "
-                           f"{dim - 1} (its dense matrices need about 190 B * dim^2)\n")
+                           f"{dim - 1} (its dense matrices need about 125 B * dim^2)\n")
     assert proc.stdout == ""  # rep-verify refuses before it takes any residual
     assert not report.exists()
 
@@ -664,11 +664,14 @@ VERB_ARGV = {
                       "--out", "{tmp}/omega.json"],
     "rep-build": ["rep-build", "--params", "{tmp}/omega.json", "--out", "{tmp}/rep.json"],
     "rep-verify": ["rep-verify", "--rep", "{tmp}/rep.json", "--q-order", "5"],
+    "rep-verify --commutant": ["rep-verify", "--rep", "{tmp}/rep.json", "--q-order", "5",
+                               "--commutant"],
     "rep-commutant": ["rep-commutant", "--rep", "{tmp}/rep.json"],
     "embed-verify": ["embed-verify", "--n", "4"],
     "psi-verify": ["psi-verify", "--twoj", "2", "--seed", "0", "--samples", "2"],
 }
 SETUP = {"rep-build": ["params-sample"], "rep-verify": ["params-sample", "rep-build"],
+         "rep-verify --commutant": ["params-sample", "rep-build"],
          "rep-commutant": ["params-sample", "rep-build"]}
 
 # The symbolic PBW code: the expression parser, the straightening kernel and
@@ -681,10 +684,12 @@ KERNEL = ("uqson.expr", "uqson.pbw._straighten", "uqson.pbw.algebra", "uqson.pbw
 EXACT_RING = ("fractions", "uqson.coeffring")
 # the verbs that compute in floating point: they load neither KERNEL nor
 # EXACT_RING
-PBW_FREE = {"params-sample", "rep-build", "rep-verify", "rep-commutant", "psi-verify"}
+PBW_FREE = {"params-sample", "rep-build", "rep-verify", "rep-verify --commutant",
+            "rep-commutant", "psi-verify"}
 # the verbs that read or write a JSON file as VERB_ARGV runs them
-FILE_VERBS = {"params-sample", "rep-build", "rep-verify", "rep-commutant"}
-WATCHED = (*HEAVY, "dataclasses", "uqson.jsonio", *KERNEL, *EXACT_RING)
+FILE_VERBS = {"params-sample", "rep-build", "rep-verify", "rep-verify --commutant",
+              "rep-commutant"}
+WATCHED = (*HEAVY, "numpy.random", "dataclasses", "uqson.jsonio", *KERNEL, *EXACT_RING)
 
 
 def run_verb_in_process(argv):
@@ -709,6 +714,7 @@ def run_verb_in_process(argv):
     ("params-sample", False),
     ("rep-build", False),
     ("rep-verify", True),
+    ("rep-verify --commutant", True),
     ("rep-commutant", True),
     ("embed-verify", False),
     ("psi-verify", True),
@@ -725,6 +731,9 @@ def test_verb_loads_numpy_only_when_it_computes_with_it(tmp_path, verb, loads_nu
     assert in_process.stdout == module.stdout
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == artifacts
     assert loaded & set(HEAVY) == ({"numpy"} if loads_numpy else set())
+    # numpy.random costs about 6 MB and 11-17 ms; the commutant certificate
+    # holds its one fixed draw as a table
+    assert "numpy.random" not in loaded
     # dataclasses costs about 7 ms with inspect, more than any uqson module
     assert "dataclasses" not in loaded
     assert (not loaded & set(KERNEL)) == (verb in PBW_FREE), loaded
